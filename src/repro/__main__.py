@@ -617,7 +617,7 @@ def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
     ``--persist-memo`` loads the persisted totals pool into that memo
     up front (a fully warm fleet) and stores it back after the grid.
     """
-    from repro.serving import LayerMemoCache, SCENARIOS, Telemetry
+    from repro.serving import LayerMemoCache, SCENARIOS
     from repro.serving.memo import (load_persistent_memo,
                                     store_persistent_memo)
     from repro.serving.sharding import ShardedEngine
@@ -646,40 +646,19 @@ def _serve_sim_sharded(opts: CliOptions, *, scenarios: list[str],
             rows.append(result.to_row())
     stored = (store_persistent_memo(memo_cache, memo_store)
               if persist_memo else 0)
-    if trace:
-        # merge the shard-tagged worker traces into one JSONL sink
-        telemetry = Telemetry()
-        for result in results:
-            for outcome in result.outcomes:
-                for key, count in outcome.counters:
-                    telemetry.counters[key] = (
-                        telemetry.counters.get(key, 0) + count)
-            telemetry.rows.extend(result.telemetry_rows)
-        telemetry.save(trace_path)
+    trace_rows = (_save_fleet_trace(trace_path, results)
+                  if trace else 0)
     if opts.as_json:
         print(report.to_json(rows))
         return 0
-    total = sum(r.requests for r in results)
-    wall = sum(r.wall_s for r in results)
     extras = f", slo {slo_us:g}us" if slo_us else ""
     print(f"\n=== serve-sim: {accelerator} x{replicas} ({dispatch}), "
           f"{requests} requests/scenario across {shards} shard "
           f"worker(s){extras} ===")
     print(report.render_rows(rows))
-    print(f"\nscale-out: {total} requests simulated in {wall:.2f}s "
-          f"wall ({total / wall:,.0f} aggregate req/s)" if wall
-          else f"\nscale-out: {total} requests simulated")
-    seeded = sum(r.cache.seeded for r in results)
-    if seeded:
-        print(f"warm fleet: {seeded} snapshot cells shipped, "
-              f"{sum(r.cache.seed_hits for r in results)} warm hits "
-              f"across shard workers")
-    if persist_memo:
-        print(f"persisted memo: {loaded} totals loaded, "
-              f"{stored} stored")
-    if trace:
-        print(f"telemetry trace: {trace_path} "
-              f"({len(telemetry.rows)} shard-tagged row(s))")
+    _print_fleet_tail(results, "scale-out", "shard",
+                      memo=(loaded, stored) if persist_memo else None,
+                      trace=(trace_path, trace_rows) if trace else None)
     return 0
 
 
@@ -697,7 +676,7 @@ def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
     accumulates across cells; ``--persist-memo`` loads the persisted
     totals pool into it up front and stores it back after the grid.
     """
-    from repro.serving import LayerMemoCache, SCENARIOS, Telemetry
+    from repro.serving import LayerMemoCache, SCENARIOS
     from repro.serving.geo import GeoRouter
     from repro.serving.memo import (load_persistent_memo,
                                     store_persistent_memo)
@@ -729,19 +708,14 @@ def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
             )
     stored = (store_persistent_memo(memo_cache, memo_store)
               if persist_memo else 0)
-    if trace:
-        # one JSONL sink holding every region-tagged worker trace plus
-        # the per-region summary rows the dashboard's geo table reads
-        telemetry = Telemetry()
-        for result in results:
-            telemetry.rows.extend(result.telemetry_rows)
-            telemetry.rows.extend(result.region_trace_rows())
-        telemetry.save(trace_path)
+    # the saved trace also carries the per-region summary rows the
+    # dashboard's geo table reads
+    trace_rows = (_save_fleet_trace(trace_path, results,
+                                    lambda r: r.region_trace_rows())
+                  if trace else 0)
     if opts.as_json:
         print(report.to_json(rows + region_rows))
         return 0
-    total = sum(r.requests for r in results)
-    wall = sum(r.wall_s for r in results)
     extras = "".join(
         part for part, on in (
             (f", slo {slo_us:g}us", slo_us),
@@ -756,21 +730,64 @@ def _serve_sim_geo(opts: CliOptions, *, scenarios: list[str],
     print(report.render_rows(rows))
     print("\nper-region breakdown:")
     print(report.render_rows(region_rows))
-    print(f"\ngeo scale-out: {total} requests simulated in "
-          f"{wall:.2f}s wall ({total / wall:,.0f} aggregate req/s)"
-          if wall else f"\ngeo scale-out: {total} requests simulated")
+    _print_fleet_tail(results, "geo scale-out", "region",
+                      memo=(loaded, stored) if persist_memo else None,
+                      trace=(trace_path, trace_rows) if trace else None)
+    return 0
+
+
+def _save_fleet_trace(path: str, results, extra_rows=lambda r: ()) -> int:
+    """Merge every fleet worker's tagged trace into one JSONL sink.
+
+    Rows concatenate in (cell, worker, emission) order, each cell
+    followed by its ``extra_rows``; the header's counters are the sums
+    of every worker's counters.  Returns the saved row count.
+    """
+    from repro.serving import Telemetry
+
+    telemetry = Telemetry()
+    for result in results:
+        for outcome in result.outcomes:
+            for key, count in outcome.counters:
+                telemetry.counters[key] = (
+                    telemetry.counters.get(key, 0) + count)
+        telemetry.rows.extend(result.telemetry_rows)
+        telemetry.rows.extend(extra_rows(result))
+    telemetry.save(path)
+    return len(telemetry.rows)
+
+
+def _print_fleet_tail(results, label: str, kind: str, *,
+                      memo: Optional[tuple[int, int]],
+                      trace: Optional[tuple[str, int]]) -> None:
+    """The summary lines shared by the ``--shards`` and ``--geo`` paths:
+    aggregate rate, worker wall skew, warm-fleet effectiveness, and the
+    persisted-memo and saved-trace notes when those ran."""
+    from statistics import median
+
+    total = sum(r.requests for r in results)
+    wall = sum(r.wall_s for r in results)
+    print(f"\n{label}: {total} requests simulated in {wall:.2f}s wall "
+          f"({total / wall:,.0f} aggregate req/s)" if wall
+          else f"\n{label}: {total} requests simulated")
+    # the run is bound by its slowest worker: a max well above the
+    # median means the split (hash fold, routing) is lopsided
+    walls = [o.wall_s for r in results for o in r.outcomes]
+    top, mid = max(walls), median(walls)
+    print(f"worker wall: max {top:.3f}s, median {mid:.3f}s, skew "
+          f"{top / mid if mid else 0.0:.2f}x over {len(walls)} {kind} "
+          f"worker run(s)")
     seeded = sum(r.cache.seeded for r in results)
     if seeded:
         print(f"warm fleet: {seeded} snapshot cells shipped, "
               f"{sum(r.cache.seed_hits for r in results)} warm hits "
-              f"across region workers")
-    if persist_memo:
-        print(f"persisted memo: {loaded} totals loaded, "
-              f"{stored} stored")
-    if trace:
-        print(f"telemetry trace: {trace_path} "
-              f"({len(telemetry.rows)} region-tagged row(s))")
-    return 0
+              f"across {kind} workers")
+    if memo is not None:
+        print(f"persisted memo: {memo[0]} totals loaded, "
+              f"{memo[1]} stored")
+    if trace is not None:
+        print(f"telemetry trace: {trace[0]} "
+              f"({trace[1]} {kind}-tagged row(s))")
 
 
 def _cmd_report(args: list[str], opts: CliOptions) -> int:

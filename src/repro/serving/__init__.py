@@ -15,13 +15,15 @@ For million-request scale, traces stream (:func:`stream_trace`,
 bit-identical to :func:`generate_trace` with O(1) requests resident)
 and :class:`ShardedEngine` (:mod:`repro.serving.sharding`) fans a
 deterministically sharded trace across worker processes, merging
-exact counters plus a mergeable latency digest back into one result.
+exact counters plus a mergeable latency digest back into one
+:class:`FleetResult`.
 
 On top of the cluster sits the geo tier (:mod:`repro.serving.geo`):
 a :class:`GeoRouter` routes region-tagged traffic over a static
 :class:`Interconnect` (ring / mesh / tree) to per-region engines,
 charging deterministic network delay, and merge-reduces the regional
-outcomes with the same digest machinery the sharded engine uses.
+outcomes with the same merge the sharded engine uses into a
+:class:`GeoResult` (a :class:`FleetResult` plus the geo economics).
 """
 
 from repro.serving.batching import (
@@ -102,10 +104,10 @@ from repro.serving.policies import (
     make_scale,
 )
 from repro.serving.sharding import (
+    FleetResult,
     LatencyDigest,
     ShardOutcome,
     ShardedEngine,
-    ShardedResult,
     validate_sharding,
 )
 from repro.serving.simulator import (
@@ -163,6 +165,7 @@ __all__ = [
     "FastestFinishDispatch",
     "FifoFlush",
     "FixedSizeBatching",
+    "FleetResult",
     "FlushPolicy",
     "FollowSunDispatch",
     "ForecastScalePolicy",
@@ -204,7 +207,6 @@ __all__ = [
     "ShardDispatch",
     "ShardOutcome",
     "ShardedEngine",
-    "ShardedResult",
     "SloPolicy",
     "SpilloverDispatch",
     "TOPOLOGIES",

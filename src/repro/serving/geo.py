@@ -10,11 +10,12 @@ region is its admission instant plus the deterministic comm-time.
 Each region then runs as an independent
 :class:`~repro.serving.events.ClusterEngine` in its own worker
 process (region == shard: the fan-out rides the same
-:mod:`repro.runtime` pool and the same exact merge as
+:mod:`repro.runtime` pool, worker fold and exact merge as
 :class:`~repro.serving.sharding.ShardedEngine`), and the parent
 reduces the per-region :class:`~repro.serving.sharding.ShardOutcome`
-summaries into one :class:`GeoResult` with per-region SLO attainment
-and energy-cost rows.
+summaries into one :class:`GeoResult` — a :class:`~repro.serving.
+sharding.FleetResult` plus per-region SLO attainment and energy-cost
+rows.
 
 Why this is exact: routing is a pure function of the admission
 instant, the home region, and the static fleet plan (capacities,
@@ -43,29 +44,27 @@ import math
 import random as _random
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import chain
 from time import perf_counter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.runtime.executor import parallel_map, worker_payload
+from repro.runtime.executor import parallel_map
 from repro.serving.batching import make_policy
-from repro.serving.events import (
-    EventKind,
-    EventQueue,
-    FailurePlan,
-    SloPolicy,
-)
+from repro.serving.events import EventKind, EventQueue, FailurePlan
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
-from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
-from repro.serving.policies import RegionFailurePlan, make_geo
-from repro.serving.sharding import (
-    LatencyDigest,
-    ShardOutcome,
-    _merge_detail,
+from repro.serving.memo import LayerMemoCache, MemoSnapshot
+from repro.serving.policies import (
+    RegionFailurePlan,
+    make_geo,
+    make_resilience,
 )
-from repro.serving.simulator import ServingResult, ServingSimulator
-from repro.serving.telemetry import Telemetry
+from repro.serving.sharding import (
+    FleetResult,
+    ShardOutcome,
+    _fold_worker,
+    _worker_simulator,
+)
+from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import (
     Request,
     Scenario,
@@ -357,8 +356,7 @@ def _route_scan(spec: dict, streams: Iterable, outages) -> Iterator:
     view = _RouterView(spec, icx)
     geo.reset(view)
     payload_bytes = spec["payload_bytes"]
-    res_on = bool(spec.get("resilience")) \
-        and spec.get("resilience") != "none"
+    res_on = bool(spec["resilience"])
     queue = EventQueue()
     for item in heapq.merge(*streams, key=_merge_admission_key):
         t, home = item[0], item[1]
@@ -451,36 +449,6 @@ class RegionOutcome:
         return self.outcome.slo_hits / served if served else 1.0
 
 
-def _region_sim(spec: dict, me: int,
-                telemetry: Optional[Telemetry]) -> ServingSimulator:
-    """Rebuild one region's simulator from picklable primitives.
-
-    A warm run's :class:`MemoSnapshot` — holding every region
-    backend's layer totals, keyed structurally — arrives once per
-    worker via the pool initializer
-    (:func:`~repro.runtime.executor.worker_payload`) and is installed
-    into this region's fresh memo.
-    """
-    _name, accelerator, replicas, _price, _tz = spec["regions"][me]
-    slo = SloPolicy(target=spec["slo_us"] * 1e-6) \
-        if spec["slo_us"] else None
-    payload = worker_payload()
-    snapshot = (payload.get("memo")
-                if isinstance(payload, dict) else None)
-    return ServingSimulator(
-        accelerator=accelerator,
-        replicas=replicas,
-        policy=make_policy(spec["policy"],
-                           batch_size=spec["batch_size"]),
-        dispatch=spec["dispatch"],
-        cache=LayerMemoCache(),
-        slo=slo,
-        telemetry=telemetry,
-        resilience=spec.get("resilience") or None,
-        snapshot=snapshot,
-    )
-
-
 def _serve_geo_region(spec: dict) -> RegionOutcome:
     """Serve one region of a geo run (runs in a worker process).
 
@@ -494,10 +462,7 @@ def _serve_geo_region(spec: dict) -> RegionOutcome:
     me = spec["region"]
     name, accelerator, replicas, price, _tz = spec["regions"][me]
     scenario = spec["scenario"]
-    telemetry = (Telemetry(events=spec["trace_events"],
-                           tick=spec["tick"] or None)
-                 if spec["trace"] else None)
-    sim = _region_sim(spec, me, telemetry)
+    sim = _worker_simulator(spec, accelerator, replicas)
     # a warm parent resolves the outage windows and the global
     # delivery span once and ships them in the spec — both are pure
     # functions of the plan, so recomputing here (the cold path) gives
@@ -514,16 +479,9 @@ def _serve_geo_region(spec: dict) -> RegionOutcome:
     span = spec.get("span")
     if span is None:
         span = _delivery_span(spec, outages)
-    networks = {m: sim.network(m) for m in scenario.mix.models()}
-    failures = (FailurePlan(count=scenario.faults,
-                            seed=spec["seeds"][me])
-                if scenario.faults else None)
-    engine = sim.make_engine(networks, failures=failures,
-                             prewarm=spec.get("warm_cells"))
 
     net = {"offered": 0, "remote": 0, "rerouted": 0, "retried": 0,
            "delay": 0.0}
-    arrivals: dict[int, float] = {}
 
     def deliveries() -> Iterator[Request]:
         scan = _route_scan(spec, _request_streams(spec), outages)
@@ -544,179 +502,43 @@ def _serve_geo_region(spec: dict) -> RegionOutcome:
                 net["retried"] += 1
             yield request
 
-    def tee(stream: Iterator[Request]) -> Iterator[Request]:
-        for request in stream:
-            arrivals[request.request_id] = request.arrival
-            yield request
-
-    requests: list[Request] = []
-    stream: Iterator[Request] = deliveries()
-    if spec["detail"]:
-        requests = list(stream)
-        for request in requests:
-            arrivals[request.request_id] = request.arrival
-        stream = iter(requests)
-    else:
-        stream = tee(stream)
-
-    if telemetry is not None:
-        telemetry.begin_run(
-            scenario=scenario.name, policy=sim.policy.name,
-            dispatch=sim.dispatch, replicas=sim.replicas,
-            accelerator=sim.accelerator.name,
-            rate_rps=spec["rates"][me], region=name,
-            regions=len(spec["regions"]), geo=spec["geo"],
-        )
-
-    def wrap(outcome: ShardOutcome) -> RegionOutcome:
-        return RegionOutcome(
-            region=name, index=me, accelerator=accelerator,
-            replicas=replicas, price=price,
-            capacity_rps=spec["capacities"][me],
-            rate_rps=spec["rates"][me], offered=net["offered"],
-            remote=net["remote"], rerouted=net["rerouted"],
-            delay_s=net["delay"], outcome=outcome,
-            retried=net["retried"],
-        )
-
-    first = next(stream, None)
-    if first is None:
-        # a legal outcome: the geo policy drained this region dry —
-        # its pool idles for the whole run (still reporting any
-        # snapshot cells it was shipped)
-        idle_stats = sim.cache.stats
-        return wrap(ShardOutcome(
-            shard=me, requests=0, batches=0, energy=0.0, busy_s=0.0,
-            first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0,
-            cache=CacheStats(seeded=idle_stats.seeded,
-                             seed_hits=idle_stats.seed_hits),
-            wall_s=perf_counter() - t_start,
-        ))
-    outcome = engine.run(chain((first,), stream), span=span)
-
-    slo_target = spec["slo_us"] * 1e-6
-    digest = LatencyDigest()
-    energy = 0.0
-    slo_hits = 0
-    for request_id, (done, joules) in outcome.done.items():
-        latency = done - arrivals[request_id]
-        digest.add(latency)
-        energy += joules
-        if slo_target and latency <= slo_target:
-            slo_hits += 1
-    busy = sum(record.service for record in outcome.batches)
-    last_done = max(record.done for record in outcome.batches)
-    stats = sim.cache.stats
-    cache = CacheStats(hits=stats.hits, misses=stats.misses,
-                       energy_hits=stats.energy_hits,
-                       energy_misses=stats.energy_misses,
-                       seeded=stats.seeded, seed_hits=stats.seed_hits)
-
-    rows: tuple = ()
-    counters: tuple = ()
-    if telemetry is not None:
-        for row in telemetry.rows:
-            row["region"] = name
-        rows = tuple(telemetry.rows)
-        counters = tuple(sorted(telemetry.counters.items()))
-
-    result = None
-    if spec["detail"]:
-        ordered = tuple(requests)
-        latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in ordered)
-        energies = tuple(outcome.done[r.request_id][1] for r in ordered)
-        result = ServingResult(
-            accelerator=sim.accelerator.name, replicas=sim.replicas,
-            scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rates"][me], requests=ordered,
-            latencies=latencies, energy_per_request=energies,
-            batches=outcome.batches, cache=cache,
-            slo_target=slo_target,
-            replica_trace=outcome.replica_trace,
-        )
-
-    return wrap(ShardOutcome(
-        shard=me, requests=len(outcome.done),
-        batches=len(outcome.batches), energy=energy, busy_s=busy,
-        first_arrival=min(arrivals.values()), last_done=last_done,
-        digest=digest, slo_hits=slo_hits, cache=cache,
-        wall_s=perf_counter() - t_start, telemetry_rows=rows,
-        counters=counters, result=result,
-    ))
+    outcome = _fold_worker(
+        spec, sim, scenario, deliveries(), shard=me,
+        rate=spec["rates"][me], span=span, t_start=t_start,
+        tag={"region": name},
+        failures=(FailurePlan(count=scenario.faults,
+                              seed=spec["seeds"][me])
+                  if scenario.faults else None),
+        regions=len(spec["regions"]), geo=spec["geo"],
+    )
+    return RegionOutcome(
+        region=name, index=me, accelerator=accelerator,
+        replicas=replicas, price=price,
+        capacity_rps=spec["capacities"][me],
+        rate_rps=spec["rates"][me], offered=net["offered"],
+        remote=net["remote"], rerouted=net["rerouted"],
+        delay_s=net["delay"], outcome=outcome, retried=net["retried"],
+    )
 
 
 @dataclass
-class GeoResult:
+class GeoResult(FleetResult):
     """The merge-reduced outcome of one geo run.
 
-    Counters, energy, cost and SLO hits are exact sums over regions;
-    latency percentiles read off the merged
-    :class:`~repro.serving.sharding.LatencyDigest`.  ``detail`` holds
-    the bit-exact merged :class:`~repro.serving.simulator.
-    ServingResult` when the run kept per-request arrays.
+    A :class:`~repro.serving.sharding.FleetResult` over the region
+    outcomes (region == shard): counters, energy and SLO hits are
+    exact sums, latency percentiles read off the merged digest, and
+    ``detail`` holds the bit-exact merged :class:`~repro.serving.
+    simulator.ServingResult` when the run kept per-request arrays.
+    On top it carries the routing setup and each region's network
+    ledger, from which the fleet economics (cost, interconnect delay,
+    remote share, failover retries) derive.
     """
 
-    scenario: str
-    policy: str
-    dispatch: str
-    geo: str
-    topology: str
-    storms: int
-    rate: float
-    requests: int
-    batches: int
-    energy: float
-    busy_s: float
-    first_arrival: float
-    last_done: float
-    digest: LatencyDigest
-    slo_target: float
-    slo_hits: int
-    wall_s: float
-    cache: CacheStats
+    geo: str = "home"
+    topology: str = "mesh"
+    storms: int = 0
     regions: tuple[RegionOutcome, ...] = ()
-    detail: Optional[ServingResult] = None
-    resilience: str = ""
-
-    @property
-    def replicas(self) -> int:
-        """Fleet width: every region's pool summed."""
-        return sum(r.replicas for r in self.regions)
-
-    @property
-    def makespan(self) -> float:
-        """Global first delivery to global last completion (s)."""
-        if self.last_done <= self.first_arrival:
-            return 0.0
-        return self.last_done - self.first_arrival
-
-    @property
-    def throughput_rps(self) -> float:
-        """Simulated served requests per second of sim-time."""
-        return self.requests / self.makespan if self.makespan else 0.0
-
-    @property
-    def simulated_rps(self) -> float:
-        """Aggregate simulated requests per second of wall time."""
-        return self.requests / self.wall_s if self.wall_s else 0.0
-
-    @property
-    def mean_batch(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-    @property
-    def utilization(self) -> float:
-        available = self.replicas * self.makespan
-        return self.busy_s / available if available else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of all requests meeting the SLO (exact)."""
-        if not self.slo_target:
-            return 1.0
-        return self.slo_hits / self.requests if self.requests else 1.0
 
     @property
     def cost_usd(self) -> float:
@@ -740,19 +562,19 @@ class GeoResult:
         under a resilience policy)."""
         return sum(r.retried for r in self.regions)
 
-    @property
-    def telemetry_rows(self) -> tuple:
-        """Every region's telemetry rows, region-tagged, concatenated
-        in (region, emission) order."""
-        return tuple(chain.from_iterable(r.outcome.telemetry_rows
-                                         for r in self.regions))
+    def _shape_columns(self) -> dict:
+        return {"geo": self.geo, "regions": len(self.regions)}
 
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile ``q`` (s): exact when the run kept
-        per-request detail, digest-resolution otherwise."""
-        if self.detail is not None:
-            return self.detail.latency_percentile(q)
-        return self.digest.percentile(q)
+    def _load_columns(self) -> dict:
+        n = self.requests
+        columns = {
+            "usd_per_req": self.cost_usd / n if n else 0.0,
+            "net_delay_us": self.net_delay_s / n * 1e6 if n else 0.0,
+            "remote_frac": self.remote_frac,
+        }
+        if self.resilience:
+            columns["retried"] = self.retried
+        return columns
 
     def region_rows(self) -> list[dict]:
         """Per-region reporting rows: SLO attainment and $/J economics
@@ -783,7 +605,7 @@ class GeoResult:
                                 if served else 0.0),
                 "rerouted": region.rerouted,
             }
-            if self.resilience and self.resilience != "none":
+            if self.resilience:
                 row["retried"] = region.retried
             if self.slo_target:
                 row["slo_attain"] = region.slo_attainment
@@ -798,41 +620,6 @@ class GeoResult:
                  "scenario": self.scenario, "policy": self.policy,
                  "geo": self.geo, **row}
                 for row in self.region_rows()]
-
-    def to_row(self) -> dict:
-        """The aggregate row ``repro serve-sim --geo N`` prints."""
-        row = {
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "geo": self.geo,
-            "regions": len(self.regions),
-            "requests": self.requests,
-            "rate_rps": self.rate,
-            "p50_us": self.latency_percentile(50) * 1e6,
-            "p95_us": self.latency_percentile(95) * 1e6,
-            "p99_us": self.latency_percentile(99) * 1e6,
-            "throughput_rps": self.throughput_rps,
-            "agg_rps": self.simulated_rps,
-            "energy_per_req_uj": (self.energy / self.requests * 1e6
-                                  if self.requests else 0.0),
-            "usd_per_req": (self.cost_usd / self.requests
-                            if self.requests else 0.0),
-            "net_delay_us": (self.net_delay_s / self.requests * 1e6
-                             if self.requests else 0.0),
-            "remote_frac": self.remote_frac,
-            "cache_hit_rate": self.cache.hit_rate,
-        }
-        if self.resilience and self.resilience != "none":
-            row["resilience"] = self.resilience
-            row["retried"] = self.retried
-        if self.slo_target:
-            row["slo_attain"] = self.slo_attainment
-        if self.cache.seeded:
-            # warm-fleet effectiveness: snapshot cells shipped across
-            # all regions and how many turned into warm promotions
-            row["memo_seeded"] = self.cache.seeded
-            row["warm_hits"] = self.cache.seed_hits
-        return row
 
 
 class GeoRouter:
@@ -910,10 +697,9 @@ class GeoRouter:
                      base_latency_us=base_latency_us,
                      payload_bytes=payload_bytes, storms=storms)
         make_policy(policy, batch_size=batch_size)  # fail fast
-        if resilience:
-            from repro.serving.policies import make_resilience
-            make_resilience(resilience)  # fail fast on a bad spec
-        self.resilience = resilience
+        # normalise "none"/"" to the empty spec so rows stay clean
+        self.resilience = \
+            resilience if make_resilience(resilience) is not None else ""
         self.topology = topology
         self.bandwidth_gbps = bandwidth_gbps
         self.base_latency_us = base_latency_us
@@ -1035,56 +821,23 @@ class GeoRouter:
             )
         specs = [dict(spec, region=i) for i in range(count)]
         t_start = perf_counter()
-        outcomes = parallel_map(_serve_geo_region,
-                                [(s,) for s in specs],
-                                mode=self.mode,
-                                max_workers=self.max_workers,
-                                payload=({"memo": snapshot}
-                                         if snapshot is not None
-                                         else None))
+        regions = tuple(parallel_map(_serve_geo_region,
+                                     [(s,) for s in specs],
+                                     mode=self.mode,
+                                     max_workers=self.max_workers,
+                                     payload=({"memo": snapshot}
+                                              if snapshot is not None
+                                              else None)))
         wall = perf_counter() - t_start
-        return self._reduce(scenario, total_rate,
-                            tuple(outcomes), wall)
-
-    def _reduce(self, scenario: Scenario, rate: float,
-                outcomes: tuple[RegionOutcome, ...],
-                wall: float) -> GeoResult:
-        """Exact merge of the per-region outcomes — the sharded
-        merge (digests, counters, detail interleave), region == shard."""
-        digest = LatencyDigest()
-        cache = CacheStats()
-        for region in outcomes:
-            digest.merge(region.outcome.digest)
-            stats = region.outcome.cache
-            cache.hits += stats.hits
-            cache.misses += stats.misses
-            cache.energy_hits += stats.energy_hits
-            cache.energy_misses += stats.energy_misses
-            cache.seeded += stats.seeded
-            cache.seed_hits += stats.seed_hits
-        slo_target = self.slo_us * 1e-6
-        shard_outcomes = [region.outcome for region in outcomes]
-        detail = _merge_detail(
-            shard_outcomes, scenario=scenario.name, policy=self.policy,
-            rate=rate,
-            accelerator=(self.regions[0].accelerator
-                         if len(self.regions) == 1
-                         else f"geo[{len(self.regions)}]"),
-            replicas=sum(spec.replicas for spec in self.regions),
-            slo_target=slo_target, cache=cache,
-        ) if self.detail else None
-        return GeoResult(
+        return GeoResult.merge(
+            tuple(region.outcome for region in regions),
+            detail=self.detail,
+            accelerator=(fleet[0].accelerator if count == 1
+                         else f"geo[{count}]"),
+            replicas=sum(region.replicas for region in fleet),
             scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch, geo=self.geo,
-            topology=self.topology, storms=self.storms, rate=rate,
-            requests=sum(o.requests for o in shard_outcomes),
-            batches=sum(o.batches for o in shard_outcomes),
-            energy=sum(o.energy for o in shard_outcomes),
-            busy_s=sum(o.busy_s for o in shard_outcomes),
-            first_arrival=min(o.first_arrival for o in shard_outcomes),
-            last_done=max(o.last_done for o in shard_outcomes),
-            digest=digest, slo_target=slo_target,
-            slo_hits=sum(o.slo_hits for o in shard_outcomes),
-            wall_s=wall, cache=cache, regions=outcomes, detail=detail,
-            resilience=self.resilience,
+            dispatch=self.dispatch, rate=total_rate,
+            slo_target=self.slo_us * 1e-6, wall_s=wall,
+            resilience=self.resilience, geo=self.geo,
+            topology=self.topology, storms=self.storms, regions=regions,
         )

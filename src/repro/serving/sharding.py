@@ -7,7 +7,7 @@ own slice of the global seeded trace (:func:`~repro.serving.workload.
 shard_trace`: no process ever materialises the full request list),
 serves it on an independent :class:`~repro.serving.events.
 ClusterEngine`, and ships back a compact :class:`ShardOutcome`; the
-parent merge-reduces those into one :class:`ShardedResult` with exact
+parent merge-reduces those into one :class:`FleetResult` with exact
 counters and energy sums, a mergeable :class:`LatencyDigest` for
 percentiles, and per-shard telemetry rows tagged with their shard id.
 
@@ -47,16 +47,16 @@ import math
 import os
 import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.executor import parallel_map, worker_payload
 from repro.serving.batching import make_policy
 from repro.serving.policies import make_resilience
-from repro.serving.events import SloPolicy
+from repro.serving.events import FailurePlan, SloPolicy
 from repro.serving.memo import CacheStats, LayerMemoCache, MemoSnapshot
 from repro.serving.simulator import ServingResult, ServingSimulator
 from repro.serving.telemetry import Telemetry
@@ -69,10 +69,10 @@ from repro.serving.workload import (
 )
 
 __all__ = [
+    "FleetResult",
     "LatencyDigest",
     "ShardOutcome",
     "ShardedEngine",
-    "ShardedResult",
     "validate_sharding",
 ]
 
@@ -246,13 +246,15 @@ class LatencyDigest:
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """One worker shard's summary, shipped back to the parent.
+    """One fleet worker's summary, shipped back to the parent.
 
-    Counters, energies and busy time are exact; latency percentiles
-    travel in the mergeable ``digest``.  ``result`` carries the full
-    per-request :class:`ServingResult` only when the run asked for
-    ``detail`` (the equivalence-test path); ``telemetry_rows`` are the
-    shard's trace rows, each already tagged with ``shard``.
+    A worker is a shard, or a region on a geo run (``shard`` is then
+    the region index).  Counters, energies and busy time are exact;
+    latency percentiles travel in the mergeable ``digest``.  ``result``
+    carries the full per-request :class:`ServingResult` only when the
+    run asked for ``detail`` (the equivalence-test path);
+    ``telemetry_rows`` are the worker's trace rows, each already
+    tagged with its ``shard`` (or ``region`` name).
     """
 
     shard: int
@@ -271,31 +273,140 @@ class ShardOutcome:
     result: Optional[ServingResult] = None
 
 
-def _shard_simulator(spec: dict,
-                     telemetry: Optional[Telemetry]) -> ServingSimulator:
-    """Rebuild the per-shard simulator from picklable primitives.
+def _worker_simulator(spec: dict, accelerator: str,
+                      replicas: int) -> ServingSimulator:
+    """Rebuild one fleet worker's simulator from picklable primitives.
 
-    A warm run's :class:`MemoSnapshot` arrives via the pool
-    initializer (:func:`~repro.runtime.executor.worker_payload`) —
-    shipped once per worker, not pickled into every shard spec — and
-    is installed into the shard's fresh memo so its first request
-    already hits warm layer totals.
+    Shared by shard and region workers: ``accelerator``/``replicas``
+    are the worker's own pool (the full pool for a shard, the region's
+    backend for a region); batching, dispatch, SLO, resilience and
+    telemetry come from the spec.  A warm run's :class:`MemoSnapshot`
+    arrives via the pool initializer (:func:`~repro.runtime.executor.
+    worker_payload`) — shipped once per worker, not pickled into every
+    spec — and is installed into the worker's fresh memo so its first
+    request already hits warm layer totals.
     """
-    slo = SloPolicy(target=spec["slo_us"] * 1e-6) \
-        if spec["slo_us"] else None
     payload = worker_payload()
-    snapshot = (payload.get("memo")
-                if isinstance(payload, dict) else None)
     return ServingSimulator(
-        accelerator=spec["accelerator"],
-        replicas=spec["replicas"],
+        accelerator=accelerator,
+        replicas=replicas,
         policy=make_policy(spec["policy"], batch_size=spec["batch_size"]),
         dispatch=spec["dispatch"],
         cache=LayerMemoCache(),
-        slo=slo,
-        telemetry=telemetry,
+        slo=(SloPolicy(target=spec["slo_us"] * 1e-6)
+             if spec["slo_us"] else None),
+        telemetry=(Telemetry(events=spec["trace_events"],
+                             tick=spec["tick"] or None)
+                   if spec["trace"] else None),
         resilience=spec.get("resilience") or None,
-        snapshot=snapshot,
+        snapshot=(payload.get("memo")
+                  if isinstance(payload, dict) else None),
+    )
+
+
+def _tee(stream: Iterable[Request],
+         arrivals: dict[int, float]) -> Iterator[Request]:
+    """Pass ``stream`` through, noting each request's arrival."""
+    for request in stream:
+        arrivals[request.request_id] = request.arrival
+        yield request
+
+
+def _fold_worker(spec: dict, sim: ServingSimulator, scenario: Scenario,
+                 stream: Iterable[Request], *, shard: int, rate: float,
+                 span: tuple[float, float], t_start: float, tag: dict,
+                 failures: Optional[FailurePlan] = None,
+                 **run_meta) -> ShardOutcome:
+    """Serve one fleet worker's request stream into a :class:`ShardOutcome`.
+
+    The part every shard and region worker shares: build the engine,
+    tee arrivals (or materialise them under ``detail``), run pinned to
+    the global ``span``, then fold per-request latencies into the
+    digest, energy and SLO sums.  ``tag`` (``{"shard": k}`` or
+    ``{"region": name}``) lands on every telemetry row and, with
+    ``run_meta``, on the run header.  A worker whose stream is empty
+    — few models and an unlucky hash fold, or a geo policy draining
+    its region dry — idles for the whole run, still reporting any
+    snapshot cells it was shipped.
+    """
+    networks = {m: sim.network(m) for m in scenario.mix.models()}
+    engine = sim.make_engine(networks, failures=failures,
+                             prewarm=spec.get("warm_cells"))
+    arrivals: dict[int, float] = {}
+    requests: list[Request] = []
+    if spec["detail"]:
+        requests = list(stream)
+        for request in requests:
+            arrivals[request.request_id] = request.arrival
+        stream = iter(requests)
+    else:
+        stream = _tee(stream, arrivals)
+    telemetry = sim.telemetry
+    if telemetry is not None:
+        telemetry.begin_run(
+            scenario=scenario.name, policy=sim.policy.name,
+            dispatch=sim.dispatch, replicas=sim.replicas,
+            accelerator=sim.accelerator.name, rate_rps=rate,
+            **tag, **run_meta,
+        )
+
+    first = next(stream, None)
+    if first is None:
+        idle_stats = sim.cache.stats
+        return ShardOutcome(
+            shard=shard, requests=0, batches=0, energy=0.0,
+            busy_s=0.0, first_arrival=math.inf, last_done=-math.inf,
+            digest=LatencyDigest(), slo_hits=0,
+            cache=CacheStats(seeded=idle_stats.seeded,
+                             seed_hits=idle_stats.seed_hits),
+            wall_s=perf_counter() - t_start,
+        )
+    outcome = engine.run(chain((first,), stream), span=span)
+
+    slo_target = spec["slo_us"] * 1e-6
+    digest = LatencyDigest()
+    energy = 0.0
+    slo_hits = 0
+    for request_id, (done, joules) in outcome.done.items():
+        latency = done - arrivals[request_id]
+        digest.add(latency)
+        energy += joules
+        if slo_target and latency <= slo_target:
+            slo_hits += 1
+    cache = replace(sim.cache.stats)
+
+    rows: tuple = ()
+    counters: tuple = ()
+    if telemetry is not None:
+        for row in telemetry.rows:
+            row.update(tag)
+        rows = tuple(telemetry.rows)
+        counters = tuple(sorted(telemetry.counters.items()))
+
+    result = None
+    if spec["detail"]:
+        ordered = tuple(requests)
+        result = ServingResult(
+            accelerator=sim.accelerator.name, replicas=sim.replicas,
+            scenario=scenario.name, policy=sim.policy.name,
+            rate=rate, requests=ordered,
+            latencies=tuple(outcome.done[r.request_id][0] - r.arrival
+                            for r in ordered),
+            energy_per_request=tuple(outcome.done[r.request_id][1]
+                                     for r in ordered),
+            batches=outcome.batches, cache=cache, slo_target=slo_target,
+            replica_trace=outcome.replica_trace,
+        )
+
+    return ShardOutcome(
+        shard=shard, requests=len(outcome.done),
+        batches=len(outcome.batches), energy=energy,
+        busy_s=sum(record.service for record in outcome.batches),
+        first_arrival=min(arrivals.values()),
+        last_done=max(record.done for record in outcome.batches),
+        digest=digest, slo_hits=slo_hits, cache=cache,
+        wall_s=perf_counter() - t_start, telemetry_rows=rows,
+        counters=counters, result=result,
     )
 
 
@@ -308,107 +419,15 @@ def _serve_shard(spec: dict) -> ShardOutcome:
     """
     t_start = perf_counter()
     scenario = get_scenario(spec["scenario"])
-    telemetry = (Telemetry(events=spec["trace_events"],
-                           tick=spec["tick"] or None)
-                 if spec["trace"] else None)
-    sim = _shard_simulator(spec, telemetry)
+    sim = _worker_simulator(spec, spec["accelerator"], spec["replicas"])
     shard = shard_trace(scenario, spec["rate"], spec["n"], spec["seed"],
                         shards=spec["shards"], shard=spec["shard"],
                         replicas=spec["replicas"],
                         span=spec.get("span"))
-    networks = {m: sim.network(m) for m in scenario.mix.models()}
-    engine = sim.make_engine(networks, prewarm=spec.get("warm_cells"))
-
-    arrivals: dict[int, float] = {}
-
-    def tee(stream):
-        for request in stream:
-            arrivals[request.request_id] = request.arrival
-            yield request
-
-    requests: list[Request] = []
-    stream = iter(shard)
-    if spec["detail"]:
-        requests = list(stream)
-        for request in requests:
-            arrivals[request.request_id] = request.arrival
-        stream = iter(requests)
-    else:
-        stream = tee(stream)
-
-    if telemetry is not None:
-        telemetry.begin_run(
-            scenario=scenario.name, policy=sim.policy.name,
-            dispatch=sim.dispatch, replicas=sim.replicas,
-            accelerator=sim.accelerator.name, rate_rps=spec["rate"],
-            shard=spec["shard"], shards=spec["shards"],
-        )
-
-    first = next(stream, None)
-    if first is None:
-        # a legal outcome: few models, unlucky hash fold — this
-        # shard's replicas simply idle for the whole run (still
-        # reporting any snapshot cells it was shipped)
-        idle_stats = sim.cache.stats
-        return ShardOutcome(
-            shard=spec["shard"], requests=0, batches=0, energy=0.0,
-            busy_s=0.0, first_arrival=math.inf, last_done=-math.inf,
-            digest=LatencyDigest(), slo_hits=0,
-            cache=CacheStats(seeded=idle_stats.seeded,
-                             seed_hits=idle_stats.seed_hits),
-            wall_s=perf_counter() - t_start,
-        )
-    outcome = engine.run(chain((first,), stream), span=shard.span)
-
-    slo_target = spec["slo_us"] * 1e-6
-    digest = LatencyDigest()
-    energy = 0.0
-    slo_hits = 0
-    for request_id, (done, joules) in outcome.done.items():
-        latency = done - arrivals[request_id]
-        digest.add(latency)
-        energy += joules
-        if slo_target and latency <= slo_target:
-            slo_hits += 1
-    busy = sum(record.service for record in outcome.batches)
-    last_done = max(record.done for record in outcome.batches)
-    stats = sim.cache.stats
-    cache = CacheStats(hits=stats.hits, misses=stats.misses,
-                       energy_hits=stats.energy_hits,
-                       energy_misses=stats.energy_misses,
-                       seeded=stats.seeded, seed_hits=stats.seed_hits)
-
-    rows: tuple = ()
-    counters: tuple = ()
-    if telemetry is not None:
-        for row in telemetry.rows:
-            row["shard"] = spec["shard"]
-        rows = tuple(telemetry.rows)
-        counters = tuple(sorted(telemetry.counters.items()))
-
-    result = None
-    if spec["detail"]:
-        ordered = tuple(requests)
-        latencies = tuple(outcome.done[r.request_id][0] - r.arrival
-                          for r in ordered)
-        energies = tuple(outcome.done[r.request_id][1] for r in ordered)
-        result = ServingResult(
-            accelerator=sim.accelerator.name, replicas=sim.replicas,
-            scenario=scenario.name, policy=sim.policy.name,
-            rate=spec["rate"], requests=ordered, latencies=latencies,
-            energy_per_request=energies, batches=outcome.batches,
-            cache=cache, slo_target=slo_target,
-            replica_trace=outcome.replica_trace,
-        )
-
-    return ShardOutcome(
-        shard=spec["shard"], requests=len(outcome.done),
-        batches=len(outcome.batches), energy=energy, busy_s=busy,
-        first_arrival=min(arrivals.values()), last_done=last_done,
-        digest=digest, slo_hits=slo_hits, cache=cache,
-        wall_s=perf_counter() - t_start, telemetry_rows=rows,
-        counters=counters, result=result,
-    )
+    return _fold_worker(spec, sim, scenario, shard, shard=spec["shard"],
+                        rate=spec["rate"], span=shard.span,
+                        t_start=t_start, tag={"shard": spec["shard"]},
+                        shards=spec["shards"])
 
 
 def _spec_fingerprint(spec: dict) -> str:
@@ -446,14 +465,16 @@ def _serve_shard_safe(spec: dict) -> ShardOutcome | _ShardFailure:
 
 
 @dataclass
-class ShardedResult:
-    """The merge-reduced outcome of one sharded run.
+class FleetResult:
+    """The merge-reduced outcome of one fleet run (sharded or geo).
 
     Counters, energy, busy time and SLO hits are exact sums over the
-    shards; latency percentiles read off the merged
+    worker outcomes; latency percentiles read off the merged
     :class:`LatencyDigest` (within its resolution).  ``detail`` holds
     the bit-exact merged :class:`ServingResult` when the run was
-    started with ``detail=True``.
+    started with ``detail=True``.  :meth:`merge` is the one place
+    worker outcomes are reduced; :class:`~repro.serving.geo.GeoResult`
+    extends it with the geo tier's network economics.
     """
 
     accelerator: str
@@ -462,7 +483,6 @@ class ShardedResult:
     policy: str
     dispatch: str
     rate: float
-    shards: int
     requests: int
     batches: int
     energy: float
@@ -478,6 +498,45 @@ class ShardedResult:
     detail: Optional[ServingResult] = None
     resilience: str = ""
     shard_retries: int = 0
+
+    @classmethod
+    def merge(cls, outcomes: tuple[ShardOutcome, ...], *, detail: bool,
+              **fields) -> "FleetResult":
+        """Exact merge of the worker outcomes, in worker order.
+
+        ``fields`` are the run-level attributes (configuration, rate,
+        wall time, and any subclass fields); ``detail`` also
+        reassembles the per-request :class:`ServingResult`.
+        """
+        digest = LatencyDigest()
+        cache = CacheStats()
+        for outcome in outcomes:
+            digest.merge(outcome.digest)
+            stats = outcome.cache
+            cache.hits += stats.hits
+            cache.misses += stats.misses
+            cache.energy_hits += stats.energy_hits
+            cache.energy_misses += stats.energy_misses
+            cache.seeded += stats.seeded
+            cache.seed_hits += stats.seed_hits
+        result = cls(
+            requests=sum(o.requests for o in outcomes),
+            batches=sum(o.batches for o in outcomes),
+            energy=sum(o.energy for o in outcomes),
+            busy_s=sum(o.busy_s for o in outcomes),
+            first_arrival=min(o.first_arrival for o in outcomes),
+            last_done=max(o.last_done for o in outcomes),
+            digest=digest, slo_hits=sum(o.slo_hits for o in outcomes),
+            cache=cache, outcomes=outcomes, **fields,
+        )
+        if detail:
+            result.detail = _merge_detail(result)
+        return result
+
+    @property
+    def shards(self) -> int:
+        """Worker count (shards, or regions on a geo run)."""
+        return len(self.outcomes)
 
     @property
     def makespan(self) -> float:
@@ -499,7 +558,7 @@ class ShardedResult:
 
     @property
     def mean_batch(self) -> float:
-        """Mean dispatched batch size across all shards."""
+        """Mean dispatched batch size across all workers."""
         return self.requests / self.batches if self.batches else 0.0
 
     @property
@@ -517,8 +576,8 @@ class ShardedResult:
 
     @property
     def telemetry_rows(self) -> tuple:
-        """Every shard's telemetry rows, shard-tagged, concatenated
-        in (shard, emission) order."""
+        """Every worker's telemetry rows, shard- or region-tagged,
+        concatenated in (worker, emission) order."""
         return tuple(chain.from_iterable(o.telemetry_rows
                                          for o in self.outcomes))
 
@@ -529,12 +588,22 @@ class ShardedResult:
             return self.detail.latency_percentile(q)
         return self.digest.percentile(q)
 
+    def _shape_columns(self) -> dict:
+        """Row columns naming the fleet's shape."""
+        return {"shards": self.shards}
+
+    def _load_columns(self) -> dict:
+        """Row columns between energy and cache hit rate."""
+        return {"mean_batch": self.mean_batch,
+                "utilization": self.utilization}
+
     def to_row(self) -> dict:
-        """The reporting row ``repro serve-sim --shards N`` prints."""
+        """The aggregate row ``repro serve-sim --shards N`` (or
+        ``--geo N``) prints."""
         row = {
             "scenario": self.scenario,
             "policy": self.policy,
-            "shards": self.shards,
+            **self._shape_columns(),
             "requests": self.requests,
             "rate_rps": self.rate,
             "p50_us": self.latency_percentile(50) * 1e6,
@@ -544,8 +613,7 @@ class ShardedResult:
             "agg_rps": self.simulated_rps,
             "energy_per_req_uj": (self.energy / self.requests * 1e6
                                   if self.requests else 0.0),
-            "mean_batch": self.mean_batch,
-            "utilization": self.utilization,
+            **self._load_columns(),
             "cache_hit_rate": self.cache.hit_rate,
         }
         if self.slo_target:
@@ -556,25 +624,22 @@ class ShardedResult:
             row["shard_retries"] = self.shard_retries
         if self.cache.seeded:
             # warm-fleet effectiveness: snapshot cells shipped across
-            # all shards and how many turned into warm promotions
+            # all workers and how many turned into warm promotions
             row["memo_seeded"] = self.cache.seeded
             row["warm_hits"] = self.cache.seed_hits
         return row
 
 
-def _merge_detail(outcomes: Sequence[ShardOutcome], *, scenario: str,
-                  policy: str, rate: float, accelerator: str,
-                  replicas: int, slo_target: float,
-                  cache: CacheStats) -> Optional[ServingResult]:
-    """Reassemble per-shard ServingResults into the monolithic one.
+def _merge_detail(fleet: FleetResult) -> Optional[ServingResult]:
+    """Reassemble per-worker ServingResults into the monolithic one.
 
     Requests (and their latencies/energies) interleave back into
     global request-id order — exactly the monolithic trace order, as
-    ids are assigned in arrival order.  Batches from different shards
+    ids are assigned in arrival order.  Batches from different workers
     have no global dispatch order, so they are canonically sorted; the
     equivalence suite compares them as sets.
     """
-    shards = [o.result for o in outcomes if o.result is not None]
+    shards = [o.result for o in fleet.outcomes if o.result is not None]
     if not shards:
         return None
     triplets = sorted(
@@ -588,12 +653,13 @@ def _merge_detail(outcomes: Sequence[ShardOutcome], *, scenario: str,
         key=lambda b: (b.flush, b.start, b.done, b.replica, b.model),
     ))
     return ServingResult(
-        accelerator=accelerator, replicas=replicas, scenario=scenario,
-        policy=policy, rate=rate, requests=requests,
+        accelerator=fleet.accelerator, replicas=fleet.replicas,
+        scenario=fleet.scenario, policy=fleet.policy, rate=fleet.rate,
+        requests=requests,
         latencies=tuple(t[1] for t in triplets),
         energy_per_request=tuple(t[2] for t in triplets),
-        batches=batches, cache=cache, slo_target=slo_target,
-        replica_trace=((requests[0].arrival, replicas),),
+        batches=batches, cache=fleet.cache, slo_target=fleet.slo_target,
+        replica_trace=((requests[0].arrival, fleet.replicas),),
     )
 
 
@@ -705,7 +771,7 @@ class ShardedEngine:
             snapshot.install(self._warm_cache)
 
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
-                     seed: int = 0) -> ShardedResult:
+                     seed: int = 0) -> FleetResult:
         """Calibrate, shard, fan out, and merge one scenario run."""
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
@@ -795,9 +861,14 @@ class ShardedEngine:
                     f"{failures[0].error}")
             retried += len(failures)
         wall = perf_counter() - t_start
-        outcomes = tuple(done[shard] for shard in range(self.shards))
-        return self._reduce(scenario, rate, outcomes, wall, retried)
-
+        return FleetResult.merge(
+            tuple(done[shard] for shard in range(self.shards)),
+            detail=self.detail, accelerator=self.accelerator,
+            replicas=self.replicas, scenario=scenario.name,
+            policy=self.policy, dispatch=self.dispatch, rate=rate,
+            slo_target=self.slo_us * 1e-6, wall_s=wall,
+            resilience=self.resilience, shard_retries=retried,
+        )
     # -- crash recovery --------------------------------------------------
     def _load_checkpoint(self, fingerprint: str) -> dict:
         """Completed shard outcomes from a matching prior run."""
@@ -820,39 +891,3 @@ class ShardedEngine:
             pickle.dump({"fingerprint": fingerprint,
                          "outcomes": dict(done)}, handle)
         os.replace(tmp, self.checkpoint)
-
-    def _reduce(self, scenario: Scenario, rate: float,
-                outcomes: tuple[ShardOutcome, ...],
-                wall: float, retried: int = 0) -> ShardedResult:
-        """Exact merge of the per-shard outcomes."""
-        digest = LatencyDigest()
-        cache = CacheStats()
-        for outcome in outcomes:
-            digest.merge(outcome.digest)
-            cache.hits += outcome.cache.hits
-            cache.misses += outcome.cache.misses
-            cache.energy_hits += outcome.cache.energy_hits
-            cache.energy_misses += outcome.cache.energy_misses
-            cache.seeded += outcome.cache.seeded
-            cache.seed_hits += outcome.cache.seed_hits
-        slo_target = self.slo_us * 1e-6
-        detail = _merge_detail(
-            outcomes, scenario=scenario.name, policy=self.policy,
-            rate=rate, accelerator=self.accelerator,
-            replicas=self.replicas, slo_target=slo_target, cache=cache,
-        ) if self.detail else None
-        return ShardedResult(
-            accelerator=self.accelerator, replicas=self.replicas,
-            scenario=scenario.name, policy=self.policy,
-            dispatch=self.dispatch, rate=rate, shards=self.shards,
-            requests=sum(o.requests for o in outcomes),
-            batches=sum(o.batches for o in outcomes),
-            energy=sum(o.energy for o in outcomes),
-            busy_s=sum(o.busy_s for o in outcomes),
-            first_arrival=min(o.first_arrival for o in outcomes),
-            last_done=max(o.last_done for o in outcomes),
-            digest=digest, slo_target=slo_target,
-            slo_hits=sum(o.slo_hits for o in outcomes),
-            wall_s=wall, cache=cache, outcomes=outcomes, detail=detail,
-            resilience=self.resilience, shard_retries=retried,
-        )

@@ -374,6 +374,8 @@ class TestServeSimShardsCli:
         assert "(shard)" in out
         assert "scale-out:" in out
         assert "2 shard worker(s)" in out
+        assert "worker wall: max" in out
+        assert "skew" in out and "over 2 shard worker run(s)" in out
 
     def test_default_grid_skips_fault_scenarios(self, capsys):
         assert main(["--json", "serve-sim", *self.FAST]) == 0

@@ -29,6 +29,7 @@ from repro.serving import (
     SCENARIOS,
     STOCK_REGIONS,
     ServingSimulator,
+    ShardedEngine,
     default_regions,
     make_geo,
     make_policy,
@@ -181,6 +182,24 @@ class TestRegionStorms:
         assert sum(r.rerouted for r in stormy.regions) > 0
         assert sum(r.rerouted for r in calm.regions) == 0
 
+    @pytest.mark.parametrize("resilience",
+                             ["", "none", "retry:timeout_us=30000"])
+    def test_failover_retries_only_under_resilience(self, resilience):
+        result = GeoRouter(4, topology="ring", storms=2,
+                           resilience=resilience, mode="inline") \
+            .run_scenario("steady", 2000, seed=1)
+        row = result.to_row()
+        assert result.requests == 2000
+        if resilience.startswith("retry"):
+            assert row["resilience"] == resilience
+            assert row["retried"] == result.retried > 0
+        else:
+            # "none" normalises to no resilience at all
+            assert result.resilience == ""
+            assert result.retried == 0
+            assert "resilience" not in row and "retried" not in row
+            assert all("retried" not in r for r in result.region_rows())
+
     def test_outage_window_validates(self):
         with pytest.raises(ConfigError):
             RegionOutage(region=0, at=2.0, until=1.0)
@@ -237,6 +256,47 @@ class TestFleetAccounting:
         assert len({spec.name for spec in fleet}) == 7
 
 
+#: The columns every fleet row carries; the shared merge must neither
+#: add nor drop one (e.g. ``mean_batch`` leaking onto geo rows).
+FLEET_COLUMNS = {"scenario", "policy", "requests", "rate_rps", "p50_us",
+                 "p95_us", "p99_us", "throughput_rps", "agg_rps",
+                 "energy_per_req_uj", "cache_hit_rate", "memo_seeded",
+                 "warm_hits"}
+SHARDED_COLUMNS = FLEET_COLUMNS | {"shards", "mean_batch", "utilization"}
+GEO_COLUMNS = FLEET_COLUMNS | {"geo", "regions", "usd_per_req",
+                               "net_delay_us", "remote_frac"}
+REGION_COLUMNS = {"region", "accelerator", "replicas", "requests",
+                  "share", "p50_us", "p95_us", "energy_per_req_uj",
+                  "usd_per_mj", "usd_per_req", "net_delay_us",
+                  "remote_frac", "rerouted"}
+
+
+class TestRowContract:
+    @pytest.mark.parametrize("cell,sharded_kw,geo_kw,extra,geo_extra,"
+                             "region_extra", [
+        ("plain", {}, {}, set(), set(), set()),
+        ("slo", {"slo_us": 900.0}, {"slo_us": 4000.0},
+         {"slo_attain"}, {"slo_attain"}, {"slo_attain"}),
+        ("retry", {"resilience": "retry:timeout_us=400,budget=2"},
+         {"resilience": "retry:timeout_us=30000"},
+         {"resilience"}, {"resilience", "retried"}, {"retried"}),
+    ])
+    def test_row_columns_are_pinned(self, cell, sharded_kw, geo_kw,
+                                    extra, geo_extra, region_extra):
+        sharded = ShardedEngine(2, replicas=2, policy="timeout",
+                                batch_size=8, mode="inline",
+                                **sharded_kw) \
+            .run_scenario("steady", 300, seed=SEED)
+        assert set(sharded.to_row()) == SHARDED_COLUMNS | extra
+        geo = GeoRouter(3, topology="ring", storms=1, mode="inline",
+                        **geo_kw).run_scenario("steady", 600, seed=SEED)
+        assert set(geo.to_row()) == GEO_COLUMNS | geo_extra
+        rows = geo.region_rows()
+        assert len(rows) == 3
+        for row in rows:
+            assert set(row) == REGION_COLUMNS | region_extra
+
+
 class TestCli:
     def test_geo_grid_runs(self, capsys):
         code = main(["serve-sim", "steady", "--geo", "2",
@@ -246,6 +306,20 @@ class TestCli:
         assert "geo[2]" in out
         assert "per-region breakdown" in out
         assert "us-east" in out and "eu-west" in out
+        assert "geo scale-out:" in out
+        assert "skew" in out and "over 2 region worker run(s)" in out
+
+    def test_geo_trace_rows_are_region_tagged(self, capsys, tmp_path):
+        from repro.serving import load_trace
+        trace = tmp_path / "geo.jsonl"
+        assert main(["serve-sim", "steady", "--geo", "2", "--requests",
+                     "200", "--policy", "timeout", "--trace",
+                     str(trace)]) == 0
+        assert "region-tagged" in capsys.readouterr().out
+        meta, rows = load_trace(trace)
+        assert {r["region"] for r in rows} == {"us-east", "eu-west"}
+        assert meta["counters"]["arrivals"] == 200
+        assert meta["counters"]["runs"] == 2
 
     def test_geo_json_carries_region_rows(self, capsys):
         code = main(["serve-sim", "steady", "--geo", "2", "--json",
