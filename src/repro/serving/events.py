@@ -57,7 +57,9 @@ per-request latencies bit for bit.
 The hot path is tuned for trace scale (see ``BENCH_serving.json``):
 the heap holds raw ``(time, kind, key, seq, payload)`` tuples rather
 than :class:`Event` objects, arrivals are merge-scanned out of the
-(time-ordered) trace instead of being heap-resident, per-(replica
+(time-ordered) trace instead of being heap-resident — materialised
+lists and streamed iterators go through the same single loop, a list
+only being sorted and given its default span first — per-(replica
 configuration, model, batch-size) service/energy rates are memoised
 outside the dispatch inner loop, and the windowed-p95 autoscale metric
 is maintained incrementally (:class:`_LatencyWindow`) instead of
@@ -76,8 +78,9 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import ceil
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from math import ceil, inf
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.serving.policies import (
@@ -187,9 +190,9 @@ class EventQueue:
 
     __slots__ = ("_heap", "_seq")
 
-    def __init__(self, first_seq: int = 0) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, str, int, object]] = []
-        self._seq = first_seq
+        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -419,6 +422,16 @@ def _merge_outages(outages) -> tuple[Outage, ...]:
     ))
 
 
+def _arrival_error(arrival: float,
+                   span: Optional[tuple[float, float]]) -> ConfigError:
+    """Name the rule an arrival the run loop rejected broke."""
+    if span is not None and arrival > span[1]:
+        return ConfigError("arrival lands after the span's drain horizon")
+    if span is not None and arrival < span[0]:
+        return ConfigError("arrival lands before the span's start")
+    return ConfigError("streamed traces must be time-ordered")
+
+
 # ---------------------------------------------------------------------------
 # Cluster state
 # ---------------------------------------------------------------------------
@@ -636,12 +649,8 @@ class ClusterEngine:
         self._initial = list(replicas)
 
     # -- per-run state ---------------------------------------------------
-    def _prepare(self, t0: float, n: int) -> None:
-        """Reset all per-run state for a run starting at ``t0``.
-
-        ``n`` seeds ``_remaining`` (arrivals still to come); the
-        streaming path maintains it from its look-ahead instead.
-        """
+    def _prepare(self, t0: float) -> None:
+        """Reset all per-run state for a run starting at ``t0``."""
         self._replicas = [
             Replica(index=i, accelerator=acc)
             for i, acc in enumerate(self._initial)
@@ -660,7 +669,9 @@ class ClusterEngine:
         self._stolen = 0
         self._wasted = 0.0
         self._in_system = 0
-        self._remaining = n
+        # arrivals still to come; the run loop clears it once the
+        # input runs dry, and only the control tick reads it
+        self._remaining = True
         self._last_scale = float("-inf")
         scale = self.scale
         if scale is not None:
@@ -784,111 +795,49 @@ class ClusterEngine:
             span: Optional[tuple[float, float]] = None) -> EngineRun:
         """Serve a trace and return the raw outcome.
 
-        ``requests`` is either a materialised sequence (sorted here if
-        out of order) or any other iterable — a generator streams with
-        one request of look-ahead and is never materialised.  Streamed
-        traces must already be time-ordered.
+        ``requests`` is either a materialised sequence or any other
+        iterable; both go through the one merge-scan below.  A sequence
+        is stable-sorted here if out of order (equal arrivals keep their
+        trace order) and its span defaults to its first/last arrival.  A
+        generator streams with one request of look-ahead and is never
+        materialised; it must already be time-ordered.
 
         ``span`` optionally pins the run's ``(start, drain)`` horizon
         instead of the trace's own first/last arrival — a sharded run
         passes the *global* trace span so every shard drains at the
-        same instant the monolithic engine would.  Streaming with a
+        same instant the monolithic engine would.  Every arrival, the
+        first included, must land inside it.  Streaming with a
         :class:`FailurePlan` requires a span (outages are sampled over
         the full horizon before the first arrival is seen).
         """
-        if not isinstance(requests, Sequence):
-            return self._run_stream(iter(requests), span)
-        if not requests:
-            raise ConfigError("cannot serve an empty trace")
-        n = len(requests)
-        ordered = requests
-        if any(ordered[i].arrival > ordered[i + 1].arrival
-               for i in range(n - 1)):
-            # stable, so equal arrivals keep their trace order — the
-            # same tie-break the heap's insertion seq used to provide
-            ordered = sorted(requests, key=lambda r: r.arrival)
-        # trace span from the *time* order, never the input order: the
-        # DRAIN must land at the true last arrival or late requests
-        # under a deadline-less policy would sit in their queues forever
-        t0, t_end = ordered[0].arrival, ordered[-1].arrival
-        if span is not None:
-            if span[0] > t0 or span[1] < t_end:
-                raise ConfigError("span must cover the trace's "
-                                  "arrival interval")
-            t0, t_end = span
-
-        self._prepare(t0, n)
-
-        # Arrivals stay in the (time-ordered) trace and are merge-
-        # scanned against the heap, which only ever holds the sparse
-        # flush/done/control events.  Arrival ``seq`` is the trace
-        # index; heap events start numbering after the trace, so every
-        # same-instant tie resolves exactly as when arrivals were
-        # pushed first (kind, key, then insertion order).
-        events = EventQueue(first_seq=n)
-        self._events = events
-        events.push(t_end, EventKind.DRAIN)
-        if self.failures is not None:
-            for outage in self.failures.resolve(t0, t_end,
-                                                len(self._replicas)):
-                if outage.replica >= len(self._replicas):
-                    raise ConfigError(
-                        f"outage targets replica {outage.replica} but the "
-                        f"pool has {len(self._replicas)}"
-                    )
-                events.push(outage.at, EventKind.FAIL,
-                            payload=outage.replica)
-                events.push(outage.until, EventKind.RECOVER,
-                            payload=outage.replica)
-        if self._control_tick:
-            events.push(t0 + self._control_tick, EventKind.CONTROL)
-
-        handlers = self._handlers()
-        heap = events._heap
-        heappop = heapq.heappop
-        on_arrival = self._on_arrival
-        i = 0
-        while True:
-            if i < n:
-                request = ordered[i]
-                if heap and heap[0] < (request.arrival, _ARRIVAL, "", i):
-                    time, kind, _key, _seq, payload = heappop(heap)
-                    handlers[kind](time, payload)
-                else:
-                    on_arrival(request.arrival, request)
-                    i += 1
-            elif heap:
-                time, kind, _key, _seq, payload = heappop(heap)
-                handlers[kind](time, payload)
-            else:
-                break
-
-        return self._finish()
-
-    def _run_stream(self, it: Iterator[Request],
-                    span: Optional[tuple[float, float]]) -> EngineRun:
-        """Serve a time-ordered stream with one request of look-ahead.
-
-        Identical outcomes to the materialised path: arrivals never
-        enter the heap, so heap ``seq`` numbers only order heap-vs-heap
-        ties and the ``first_seq=n`` offset the tuple path uses is
-        irrelevant; the end-of-trace DRAIN (the single kind-6 event,
-        which sorts after every same-instant event regardless of
-        insertion order) is pushed when the stream runs dry, at the
-        last arrival seen — unless ``span`` pins the horizon up front.
-        """
+        if isinstance(requests, Sequence):
+            if any(requests[i].arrival > requests[i + 1].arrival
+                   for i in range(len(requests) - 1)):
+                requests = sorted(requests, key=lambda r: r.arrival)
+            # span from the *time* order, never the input order: the
+            # DRAIN must land at the true last arrival or late requests
+            # under a deadline-less policy would sit in their queues
+            if span is None and requests:
+                span = (requests[0].arrival, requests[-1].arrival)
+        it = iter(requests)
         first = next(it, None)
         if first is None:
             raise ConfigError("cannot serve an empty trace")
-        if span is not None and first.arrival < span[0]:
-            raise ConfigError("streamed arrival lands before the "
-                              "span's start")
         t0 = first.arrival if span is None else span[0]
-        self._prepare(t0, 1)
+        horizon = inf if span is None else span[1]
+        self._prepare(t0)
+
+        # Arrivals stay in the (time-ordered) input and are merge-
+        # scanned against the heap, which only ever holds the sparse
+        # flush/done/control events — never an ARRIVAL, so comparing
+        # the head against (arrival, ARRIVAL) resolves every same-
+        # instant tie by kind alone.  The single DRAIN (kind 6) sorts
+        # after every same-instant event whenever it is pushed: up
+        # front when the span is known, else at the last arrival seen.
         events = EventQueue()
         self._events = events
         if span is not None:
-            events.push(span[1], EventKind.DRAIN)
+            events.push(horizon, EventKind.DRAIN)
         if self.failures is not None:
             if span is None:
                 raise ConfigError(
@@ -896,12 +845,12 @@ class ClusterEngine:
                     "explicit span=(start, end); outages are sampled "
                     "over the full horizon before arrivals are seen"
                 )
-            for outage in self.failures.resolve(t0, span[1],
-                                                len(self._replicas)):
-                if outage.replica >= len(self._replicas):
+            replicas = len(self._replicas)
+            for outage in self.failures.resolve(t0, horizon, replicas):
+                if outage.replica >= replicas:
                     raise ConfigError(
                         f"outage targets replica {outage.replica} but "
-                        f"the pool has {len(self._replicas)}"
+                        f"the pool has {replicas}"
                     )
                 events.push(outage.at, EventKind.FAIL,
                             payload=outage.replica)
@@ -914,40 +863,22 @@ class ClusterEngine:
         heap = events._heap
         heappop = heapq.heappop
         on_arrival = self._on_arrival
-        t_cap = span[1] if span is not None else None
-        nxt: Optional[Request] = first
-        last_arrival = first.arrival
-        i = 0
-        while True:
-            if nxt is not None:
-                if heap and heap[0] < (nxt.arrival, _ARRIVAL, "", i):
-                    time, kind, _key, _seq, payload = heappop(heap)
-                    handlers[kind](time, payload)
-                else:
-                    on_arrival(nxt.arrival, nxt)
-                    last_arrival = nxt.arrival
-                    i += 1
-                    nxt = next(it, None)
-                    if nxt is None:
-                        self._remaining = 0
-                        if span is None:
-                            events.push(last_arrival, EventKind.DRAIN)
-                    else:
-                        if nxt.arrival < last_arrival:
-                            raise ConfigError(
-                                "streamed traces must be time-ordered"
-                            )
-                        if t_cap is not None and nxt.arrival > t_cap:
-                            raise ConfigError(
-                                "streamed arrival lands after the "
-                                "span's drain horizon"
-                            )
-                        self._remaining = 1
-            elif heap:
+        last = t0
+        for request in chain((first,), it):
+            arrival = request.arrival
+            if not last <= arrival <= horizon:
+                raise _arrival_error(arrival, span)
+            while heap and heap[0] < (arrival, _ARRIVAL):
                 time, kind, _key, _seq, payload = heappop(heap)
                 handlers[kind](time, payload)
-            else:
-                break
+            on_arrival(arrival, request)
+            last = arrival
+        self._remaining = False
+        if span is None:
+            events.push(last, EventKind.DRAIN)
+        while heap:
+            time, kind, _key, _seq, payload = heappop(heap)
+            handlers[kind](time, payload)
 
         return self._finish()
 
@@ -955,7 +886,6 @@ class ClusterEngine:
     # Handlers take (time, payload) — the engine never materialises
     # Event objects on its own queue.
     def _on_arrival(self, time: float, request: Request) -> None:
-        self._remaining -= 1
         if self._track_rate:
             # offered load, so shed arrivals still count into the rate
             self._tick_arrivals += 1

@@ -19,7 +19,9 @@ from repro.errors import ConfigError
 from repro.runtime import executor as executor_module
 from repro.serving import sharding as sharding_module
 from repro.serving import (
+    FailurePlan,
     LatencyDigest,
+    Request,
     SCENARIOS,
     ServingSimulator,
     ShardedEngine,
@@ -126,10 +128,27 @@ class TestShardSplit:
                             **kwargs)
 
 
+def _stream_engine(policy="timeout", failures=None):
+    """A fresh two-replica shard-dispatch engine over the steady mix."""
+    scenario = get_scenario("steady")
+    simulator = ServingSimulator("SMART", replicas=2,
+                                 policy=make_policy(policy, 8),
+                                 dispatch="shard")
+    networks = {m: simulator.network(m) for m in scenario.mix.models()}
+    return simulator.make_engine(networks, failures)
+
+
+#: The two input forms ``ClusterEngine.run`` accepts.
+INPUT_FORMS = {"list": list, "iterator": iter}
+
+
 class TestStreamingEngine:
     @pytest.mark.parametrize("name", ["steady", "bursty", "diurnal"])
     @pytest.mark.parametrize("policy", ["fixed", "timeout"])
-    def test_iterator_run_matches_list_run(self, name, policy):
+    @pytest.mark.parametrize("failures", [
+        None, FailurePlan(count=3, downtime_frac=0.2, seed=SEED),
+    ], ids=["no-outages", "outages"])
+    def test_iterator_run_matches_list_run(self, name, policy, failures):
         scenario = get_scenario(name)
         simulator = ServingSimulator("SMART", replicas=2,
                                      policy=make_policy(policy, 8),
@@ -137,10 +156,49 @@ class TestStreamingEngine:
         trace = generate_trace(scenario, RATE, 300, seed=SEED)
         networks = {m: simulator.network(m)
                     for m in scenario.mix.models()}
-        batch = simulator.make_engine(networks).run(trace)
-        streamed = simulator.make_engine(networks).run(iter(trace))
+        # a streamed run with outages needs the horizon up front
+        span = (None if failures is None
+                else (trace[0].arrival, trace[-1].arrival))
+        batch = simulator.make_engine(networks, failures).run(trace)
+        streamed = simulator.make_engine(networks, failures).run(
+            iter(trace), span=span)
         assert streamed.done == batch.done
         assert streamed.batches == batch.batches
+        if failures is not None:
+            assert batch.redispatched > 0
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_first_arrival_past_the_horizon_is_rejected(self, form):
+        trace = [Request(0, get_scenario("steady").mix.models()[0], 5.0)]
+        # under fixed batching an accepted request would never be
+        # served: the DRAIN at 1.0 fires before it arrives
+        with pytest.raises(ConfigError):
+            _stream_engine("fixed").run(INPUT_FORMS[form](trace),
+                                        span=(0.0, 1.0))
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    @pytest.mark.parametrize("case", [
+        "span-starts-late", "arrival-past-horizon", "outages-no-span",
+    ])
+    def test_span_and_failure_plan_validation(self, form, case):
+        trace = generate_trace(get_scenario("steady"), RATE, 50,
+                               seed=SEED)
+        first, last = trace[0].arrival, trace[-1].arrival
+        span, match = {
+            "span-starts-late": ((first + 1e-9, last), "span's start"),
+            "arrival-past-horizon": ((first, trace[-2].arrival),
+                                     "drain horizon"),
+            "outages-no-span": (None, "failure plan"),
+        }[case]
+        failures = (FailurePlan(count=1, seed=SEED)
+                    if case == "outages-no-span" else None)
+        engine = _stream_engine(failures=failures)
+        if failures is not None and form == "list":
+            # a list's span defaults to its own first/last arrival
+            assert engine.run(trace).done
+            return
+        with pytest.raises(ConfigError, match=match):
+            engine.run(INPUT_FORMS[form](trace), span=span)
 
     def test_streamed_run_rejects_out_of_order_arrivals(self):
         scenario = get_scenario("steady")
