@@ -11,6 +11,7 @@ cheapest-joule respects the SLO and capacity headroom, spillover
 stays home until saturated, storms reroute dark regions).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -344,3 +345,160 @@ class TestCli:
         code = main(["serve-sim", "steady", *args])
         assert code == 2
         assert fragment in capsys.readouterr().out
+
+
+#: The 3-region ring matrix pinned before the routing scan moved from
+#: the region workers into the parent: ``GeoRouter(3, topology="ring",
+#: geo=g, storms=s, resilience=r, slo_us=4000, detail=True)`` on
+#: ``("diurnal", 600, seed=7)``.  Per region ``(offered, remote,
+#: rerouted, retried, delay_s, requests, batches, energy)``, then the
+#: sha256 of ``repr((latencies, energy_per_request))`` of the merged
+#: detail.  Exact values: any drift in routing, delivery order or the
+#: worker fold changes them.
+GOLDEN_MATRIX = {
+    ("cheapest_joule", 0, ""): (
+        ((346, 177, 0, 0, 0.03016476479999986,
+          425, 219, 7.392229694200484),
+         (180, 5, 0, 0, 0.0008521119999999999,
+          7, 4, 0.11966429953080349),
+         (74, 150, 0, 0, 0.025563359999999907,
+          168, 109, 4.52183747768358)),
+        "2cb306c23570ba6ff2ef59570f249d64c4b4de92d2151c8e8e1c3a69581962ff"),
+    ("cheapest_joule", 0, "retry"): (
+        ((346, 177, 0, 0, 0.03016476479999986,
+          425, 219, 7.392229694200484),
+         (180, 5, 0, 0, 0.0008521119999999999,
+          7, 4, 0.11966429953080349),
+         (74, 150, 0, 0, 0.025563359999999907,
+          168, 225, 4.5218374776835795)),
+        "3ead477642550091d9a98293081d5e84a51026d057a52f6d74d0bc8876700d92"),
+    ("cheapest_joule", 2, ""): (
+        ((346, 156, 33, 0, 0.026585894399999897,
+          352, 182, 6.122158810341099),
+         (180, 62, 77, 0, 0.010566188800000003,
+          84, 47, 1.842944376795043),
+         (74, 143, 4, 0, 0.024370403199999918,
+          164, 99, 4.231147076480636)),
+        "98587ca155982d29edb61e11ff4c299d081770ac90a82e44a863a7e84fe0b409"),
+    ("cheapest_joule", 2, "retry"): (
+        ((346, 156, 33, 33, 0.029994342399999863,
+          352, 181, 6.119527029310685),
+         (180, 62, 77, 77, 0.013974636800000004,
+          84, 46, 1.8460056572648724),
+         (74, 143, 4, 4, 0.02505209279999991,
+          164, 204, 4.231129254670051)),
+        "fa39ca5440caa218084ed0fa4101f3d765004a0bdfe9e7edec30d10771a4aefc"),
+    ("follow_sun", 0, ""): (
+        ((346, 96, 0, 0, 0.016360550399999996,
+          215, 114, 3.6522708134383475),
+         (180, 112, 0, 0, 0.01908730879999997,
+          156, 75, 2.9165646554958076),
+         (74, 207, 0, 0, 0.035277436799999895,
+          229, 123, 6.390824953132696)),
+        "528f5c89f738985bb440c5b11e883d84d0b598737a9425893092575b20f15b9d"),
+    ("follow_sun", 0, "retry"): (
+        ((346, 96, 0, 0, 0.016360550399999996,
+          215, 114, 3.6522708134383475),
+         (180, 112, 0, 0, 0.01908730879999997,
+          156, 77, 2.922200278451886),
+         (74, 207, 0, 0, 0.035277436799999895,
+          229, 305, 6.3908249531326975)),
+        "9d08796e0d83c6bd1d03591ea7a6921e6e2635769a52ad94ccb2c994af14cb7f"),
+    ("follow_sun", 2, ""): (
+        ((346, 101, 15, 0, 0.017212662399999988,
+          230, 123, 3.9947224001990316),
+         (180, 112, 8, 0, 0.01908730879999997,
+          164, 82, 3.1740327023062056),
+         (74, 189, 0, 0, 0.03220983359999986,
+          206, 111, 5.603616555993319)),
+        "e631c9916a9c1dafa12b34cc7275bdd0104a8e493e6e7e389a7765a6b334e8cc"),
+    ("follow_sun", 2, "retry"): (
+        ((346, 101, 15, 15, 0.01891688639999997,
+          230, 123, 3.994722238267712),
+         (180, 112, 8, 8, 0.020450687999999956,
+          164, 84, 3.179668325262284),
+         (74, 189, 0, 0, 0.03220983359999986,
+          206, 270, 5.6036165559933195)),
+        "97ede4bb52a95ceaccf50ac80c9688e848ec13683d6a8cc1a46021fccbfc04a5"),
+    ("home", 0, ""): (
+        ((346, 0, 0, 0, 0.0,
+          346, 218, 5.843884765162654),
+         (180, 0, 0, 0, 0.0,
+          180, 131, 4.1040313289548855),
+         (74, 0, 0, 0, 0.0,
+          74, 61, 2.202264049724277)),
+        "59e5d5c694fe8d0774ec0b60804bb701abec3839e9b77a27ea38a0127b462c3a"),
+    ("home", 0, "retry"): (
+        ((346, 0, 0, 0, 0.0,
+          346, 218, 5.843884765162654),
+         (180, 0, 0, 0, 0.0,
+          180, 131, 4.1040313289548855),
+         (74, 0, 0, 0, 0.0,
+          74, 61, 2.202264049724277)),
+        "59e5d5c694fe8d0774ec0b60804bb701abec3839e9b77a27ea38a0127b462c3a"),
+    ("home", 2, ""): (
+        ((346, 13, 13, 0, 0.0022154912000000005,
+          294, 189, 4.939442425130149),
+         (180, 65, 65, 0, 0.011077456000000003,
+          245, 159, 5.478229782322609),
+         (74, 0, 0, 0, 0.0,
+          61, 51, 1.7791228147182934)),
+        "f161d915a2251220e8c9cfc0dcb4b378e2b919dadc99ea0fd3a5179930f2975e"),
+    ("home", 2, "retry"): (
+        ((346, 13, 13, 13, 0.0022154912000000005,
+          294, 189, 4.939442425130149),
+         (180, 65, 65, 65, 0.011077456000000003,
+          245, 161, 5.4879876093725874),
+         (74, 0, 0, 0, 0.0,
+          61, 51, 1.7791228147182934)),
+        "8b67695f1b4aaa92a28de4250710b3c5a6dc6c078d89c727a2d16575a1dbeed3"),
+    ("spillover", 0, ""): (
+        ((346, 0, 0, 0, 0.0,
+          346, 218, 5.843884765162654),
+         (180, 0, 0, 0, 0.0,
+          180, 131, 4.1040313289548855),
+         (74, 0, 0, 0, 0.0,
+          74, 61, 2.202264049724277)),
+        "59e5d5c694fe8d0774ec0b60804bb701abec3839e9b77a27ea38a0127b462c3a"),
+    ("spillover", 0, "retry"): (
+        ((346, 0, 0, 0, 0.0,
+          346, 218, 5.843884765162654),
+         (180, 0, 0, 0, 0.0,
+          180, 131, 4.1040313289548855),
+         (74, 0, 0, 0, 0.0,
+          74, 61, 2.202264049724277)),
+        "59e5d5c694fe8d0774ec0b60804bb701abec3839e9b77a27ea38a0127b462c3a"),
+    ("spillover", 2, ""): (
+        ((346, 19, 13, 0, 0.003238025600000001,
+          300, 189, 5.012084693042313),
+         (180, 65, 72, 0, 0.011077456000000003,
+          239, 155, 5.36861221047415),
+         (74, 0, 0, 0, 0.0,
+          61, 51, 1.7791228147182934)),
+        "241d88d710c132986ca2824ab277ba60170b2c5989d6c2c31da09d00fd1823f3"),
+    ("spillover", 2, "retry"): (
+        ((346, 19, 13, 13, 0.003238025600000001,
+          300, 189, 5.012084693042313),
+         (180, 65, 72, 72, 0.012270412800000003,
+          239, 157, 5.378889892654996),
+         (74, 0, 0, 0, 0.0,
+          61, 51, 1.7791228147182934)),
+        "3def60f5479f620bb8d37d5fe6d02dd7627e666468094322f6adf1651a6c3b49"),
+}
+
+
+class TestGoldenMatrix:
+    @pytest.mark.parametrize("geo,storms,resilience", sorted(GOLDEN_MATRIX))
+    def test_cell_is_bit_identical(self, geo, storms, resilience):
+        result = GeoRouter(3, topology="ring", geo=geo, storms=storms,
+                           resilience=resilience, slo_us=4000,
+                           mode="inline", detail=True) \
+            .run_scenario("diurnal", 600, seed=7)
+        regions = tuple(
+            (r.offered, r.remote, r.rerouted, r.retried, r.delay_s,
+             r.outcome.requests, r.outcome.batches, r.outcome.energy)
+            for r in result.regions)
+        digest = hashlib.sha256(repr((
+            result.detail.latencies,
+            result.detail.energy_per_request)).encode()).hexdigest()
+        assert (regions, digest) == GOLDEN_MATRIX[geo, storms, resilience]
