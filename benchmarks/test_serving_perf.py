@@ -1,12 +1,15 @@
 """Serving-path performance smoke: event-engine throughput trajectory.
 
-Not a paper figure.  Each run appends one trajectory point per matrix
-cell (simulated requests per wall-second through the discrete-event
-engine) to ``BENCH_serving.json`` at the repo root, so future PRs can
-see when a change slows the serving hot path down.  The CI
-figure-smoke job feeds the fresh points to ``tools/bench_guard.py``,
-which warns (non-blocking) on a >20% throughput drop against the last
-committed point of the same cell.
+Not a paper figure.  Each run measures one trajectory point per
+matrix cell (simulated requests per wall-second through the
+discrete-event engine).  With ``REPRO_BENCH_RECORD=1`` the points are
+appended to ``BENCH_serving.json`` at the repo root, so future PRs can
+see when a change slows the serving hot path down; without it the
+cells still run and assert, but the tracked history is left alone (a
+plain test run must not rewrite it).  The CI figure-smoke job sets
+the variable and feeds the fresh points to ``tools/bench_guard.py``,
+which blocks on a throughput drop against the committed history of
+the same cell.
 
 The matrix covers 10k- and 100k-request traces on the bursty and
 diurnal scenarios; every point carries ``scenario`` / ``n_requests``
@@ -66,6 +69,9 @@ MATRIX = [
 
 
 def append_point(point: dict) -> None:
+    """Append ``point`` to the tracked history, when recording is on."""
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
     history = []
     if BENCH_PATH.exists():
         try:
@@ -226,9 +232,10 @@ def test_bench_persisted_memo_cold_start(tmp_path):
 def test_bench_serving_geo():
     """The geo cell: a four-region fleet (mixed SMART / SNN / AQFP
     backends) under follow-the-sun routing on the ring interconnect.
-    ``rps`` is aggregate simulated requests per wall-second through
-    the full geo path — routing scan, NETWORK delivery queue and
-    per-region engines — so a slowdown in any geo layer lands in the
+    ``rps`` is aggregate simulated requests per wall-second of the
+    region fan-out (``FleetResult.wall_s``: shipping each region its
+    deliveries and the per-region engines; the parent's routing scan
+    runs before it), so a slowdown in the region engines lands in the
     ``geo/follow_sun`` cell without touching the plain cells."""
     from repro.serving import GeoRouter
 

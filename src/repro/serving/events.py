@@ -115,11 +115,13 @@ class EventKind(IntEnum):
 
     NETWORK is the geo tier's delivery event: a request in flight on
     the interconnect, scheduled for the instant it lands in its
-    serving region.  The :class:`~repro.serving.geo.GeoRouter` charges
-    interconnect delay by pushing NETWORK events into its own
-    :class:`EventQueue` and re-sorting the stream into delivery order;
-    the cluster engine's heap never sees the kind, so single-region
-    zero-delay runs stay bit-identical to the plain engine.
+    serving region.  The :class:`~repro.serving.geo.GeoRouter`'s
+    routing scan charges interconnect delay and re-sorts the
+    admissions into delivery order through its own heap of NETWORK
+    deliveries (instant, then insertion order, as :class:`EventQueue`
+    pops); the cluster engine's heap never sees the kind, so
+    single-region zero-delay runs stay bit-identical to the plain
+    engine.
 
     TIMEOUT / HEDGE / CANCEL are the resilience tier's kinds: a
     deadline check (and the backoff-delayed retry it may launch), the
@@ -973,6 +975,10 @@ class ClusterEngine:
             for request in batch.requests:
                 done[request.request_id] = outcome
                 window.append(record_done - request.arrival)
+        # nothing reads a served batch's requests again (only its
+        # record, for the outcome): release them so a streamed run does
+        # not keep every served Request alive until it ends
+        batch.requests = ()
         if self._tel is not None:
             self._tel.batch_done(time, record, batch_id)
         replica = self._replicas[record.replica]

@@ -20,14 +20,19 @@ rows.
 Why this is exact: routing is a pure function of the admission
 instant, the home region, and the static fleet plan (capacities,
 prices, diurnal phases, interconnect, outage windows) — never of live
-engine state — so every worker replays the identical global routing
-scan and filters out its own deliveries, exactly as
-:func:`~repro.serving.workload.shard_trace` replays the global trace.
-The NETWORK delivery queue (an :class:`~repro.serving.events.
-EventQueue`) re-sorts admissions into delivery order with bounded
-buffering: a delivery can pop as soon as the scan's current admission
-time passes it, because every future delivery lands no earlier than
-its own (future) admission.
+engine state — so the parent routes once and ships each region its
+deliveries.  The single routing scan walks compact per-region
+``(arrival, home, request_id, model)`` admission streams whose model
+draws replay :func:`~repro.serving.workload.stream_trace`'s, and a
+heap of NETWORK deliveries (ordered like an :class:`~repro.serving.
+events.EventQueue`: delivery instant, then admission order) re-sorts
+admissions into delivery order with bounded buffering: a delivery can
+pop as soon as the scan's current admission time passes it, because
+every future delivery lands no earlier than its own (future)
+admission.  Each region worker receives only its own
+delivery columns and rebuilds the exact :class:`~repro.serving.
+workload.Request`\\ s the regional trace would carry, re-stamped with
+their delivery instant.
 
 The zero-drift anchor: with one region and stock policies the
 regional stream *is* the global trace (same seed, same rate, zero
@@ -40,20 +45,23 @@ latencies and energies — on every stock scenario x policy cell
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random as _random
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.runtime.executor import parallel_map
 from repro.serving.batching import make_policy
-from repro.serving.events import EventKind, EventQueue, FailurePlan
+from repro.serving.events import FailurePlan
 from repro.serving.interconnect import REQUEST_BYTES, Interconnect
 from repro.serving.memo import LayerMemoCache, MemoSnapshot
 from repro.serving.policies import (
+    GeoDispatchPolicy,
     RegionFailurePlan,
     make_geo,
     make_resilience,
@@ -68,9 +76,10 @@ from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import (
     Request,
     Scenario,
+    burn_draws,
     get_scenario,
     shard_seeds,
-    stream_trace,
+    trace_span,
 )
 
 __all__ = [
@@ -214,14 +223,17 @@ class _RouterView:
     See :class:`~repro.serving.policies.GeoDispatchPolicy` for the
     contract.  Everything here derives from the run *plan* (specs,
     calibrated capacities, static estimates) — never from live engine
-    state — which is what keeps the routing scan replayable in every
-    worker process.
+    state — which is what lets one routing scan in the parent serve
+    every region.  The interconnect is static too, so its hop counts and
+    payload delays are tabulated once per scan (``hop_table`` /
+    ``delay_table``, keyed ``(src, dst)``) from the same
+    :class:`~repro.serving.interconnect.Interconnect` calls.
     """
 
-    __slots__ = ("regions", "slo", "_capacities", "_prices",
-                 "_energies", "_batch_lats", "_tz", "_icx", "_payload",
-                 "_amp", "_cycles", "_base_phase", "_duration",
-                 "_window", "_assigned")
+    __slots__ = ("regions", "slo", "hop_table", "delay_table",
+                 "_capacities", "_prices", "_energies", "_batch_lats",
+                 "_tz", "_icx", "_payload", "_amp", "_cycles",
+                 "_base_phase", "_duration", "_window", "_assigned")
 
     def __init__(self, spec: dict, icx: Interconnect) -> None:
         regions = spec["regions"]
@@ -234,6 +246,11 @@ class _RouterView:
         self._tz = tuple(r[4] for r in regions)
         self._icx = icx
         self._payload = spec["payload_bytes"]
+        pairs = [(src, dst) for src in range(self.regions)
+                 for dst in range(self.regions)]
+        self.hop_table = {pair: icx.hops(*pair) for pair in pairs}
+        self.delay_table = {pair: icx.delay(*pair, self._payload)
+                            for pair in pairs}
         scenario = spec["scenario"]
         if scenario.shape == "diurnal":
             process = scenario.process(1.0)
@@ -262,10 +279,16 @@ class _RouterView:
         return self._batch_lats[i]
 
     def hops(self, src: int, dst: int) -> int:
-        return self._icx.hops(src, dst)
+        try:
+            return self.hop_table[src, dst]
+        except KeyError:  # out of range: the interconnect's ConfigError
+            return self._icx.hops(src, dst)
 
     def delay(self, src: int, dst: int) -> float:
-        return self._icx.delay(src, dst, self._payload)
+        try:
+            return self.delay_table[src, dst]
+        except KeyError:
+            return self._icx.delay(src, dst, self._payload)
 
     def wave(self, i: int, t: float) -> float:
         """Instantaneous diurnal load factor at region-local time."""
@@ -278,15 +301,22 @@ class _RouterView:
 
     def window_rate(self, i: int, t: float) -> float:
         """Recent assigned request rate (req/s) for region ``i``."""
+        return len(self._window_at(i, t)) / self._window
+
+    def record(self, i: int, t: float) -> None:
+        """Note one request assigned to region ``i`` at ``t``."""
+        self._window_at(i, t).append(t)
+
+    def _window_at(self, i: int, t: float) -> deque:
+        """Region ``i``'s assignment instants inside the window ending
+        at ``t``.  The scan's clock never runs backwards, so expired
+        instants can go for good — recording prunes too, which keeps
+        the window O(window) for policies that never read it."""
         assigned = self._assigned[i]
         horizon = t - self._window
         while assigned and assigned[0] < horizon:
             assigned.popleft()
-        return len(assigned) / self._window
-
-    def record(self, i: int, t: float) -> None:
-        """Note one request assigned to region ``i`` at ``t``."""
-        self._assigned[i].append(t)
+        return assigned
 
 
 def _down(outages, region: int, t: float) -> bool:
@@ -294,134 +324,149 @@ def _down(outages, region: int, t: float) -> bool:
                for o in outages)
 
 
-def _times_streams(spec: dict) -> list:
-    """Per-region ``(arrival, home)`` streams — the model-free scan."""
-    scenario = spec["scenario"]
+def _admission_streams(spec: dict) -> list:
+    """Per-region ``(arrival, home, request_id, model)`` streams.
 
-    def gen(i: int) -> Iterator[tuple[float, int]]:
+    The model draws replay :func:`~repro.serving.workload.
+    stream_trace`'s two-RNG scheme, so each tuple names exactly the
+    request the regional trace carries without building it: ids are
+    globally unique (region id bases) and ``model`` indexes
+    ``spec["models"]``.
+    """
+    scenario = spec["scenario"]
+    index = {name: k for k, name in enumerate(spec["models"])}
+
+    def gen(i: int) -> Iterator[tuple[float, int, int, int]]:
         regional = _region_scenario(scenario, spec["regions"][i][4])
         process = regional.process(spec["rates"][i])
-        rng = _random.Random(spec["seeds"][i])
-        for t in process.times(spec["counts"][i], rng):
-            yield (t, i)
+        n, seed = spec["counts"][i], spec["seeds"][i]
+        rng_models = _random.Random(seed)
+        burn_draws(process, n, rng_models)
+        sample = regional.mix.sampler()
+        rng_times = _random.Random(seed)
+        for rid, t in enumerate(process.times(n, rng_times),
+                                spec["bases"][i]):
+            yield (t, i, rid, index[sample(rng_models)])
 
     return [gen(i) for i in range(len(spec["regions"]))]
 
 
-def _request_streams(spec: dict) -> list:
-    """Per-region ``(arrival, home, Request)`` streams, globally
-    unique ascending ids (region id bases), home-region tagged."""
-    scenario = spec["scenario"]
-
-    def gen(i: int) -> Iterator[tuple[float, int, Request]]:
-        name = spec["regions"][i][0]
-        regional = _region_scenario(scenario, spec["regions"][i][4])
-        base = spec["bases"][i]
-        for r in stream_trace(regional, spec["rates"][i],
-                              spec["counts"][i], spec["seeds"][i],
-                              region=name):
-            yield (r.arrival, i,
-                   r if not base else replace(
-                       r, request_id=base + r.request_id))
-
-    return [gen(i) for i in range(len(spec["regions"]))]
+def _uint_code(limit: int) -> str:
+    """The narrowest unsigned array typecode for values below ``limit``."""
+    return next(code for code in "BHIQ"
+                if limit <= 1 << 8 * array(code).itemsize)
 
 
-def _merge_admission_key(item) -> tuple[float, int]:
-    return (item[0], item[1])
+def _route_scan(spec: dict, geo: GeoDispatchPolicy, outages) -> tuple:
+    """Route the whole fleet once, in delivery order.
 
+    Merges the regional admission streams, asks ``geo`` for each
+    request's serving region, charges the interconnect delay, and
+    re-sorts through the NETWORK delivery heap: a queued delivery pops
+    once the scan's admission clock passes it (future deliveries can
+    never land earlier than their own future admissions), and the
+    heap drains fully at stream end.  Returns ``(columns, ledgers,
+    span)``:
 
-def _route_scan(spec: dict, streams: Iterable, outages) -> Iterator:
-    """Route the merged admission stream into delivery order.
-
-    Yields ``(deliver, serve, home, rerouted, retried, delay, item)``
-    tuples in globally ascending delivery time.  The NETWORK
-    :class:`~repro.serving.events.EventQueue` is the re-sort buffer: a
-    queued delivery pops once the scan's admission clock passes it
-    (future deliveries can never land earlier than their own future
-    admissions), and the queue drains fully at stream end.
+    - ``columns[i]``: region ``i``'s deliveries in delivery order as
+      compact ``(request_id, model, deliver, home)`` arrays;
+    - ``ledgers[i]``: region ``i``'s network ledger — ``offered``
+      (admitted at home), and over the requests it serves ``remote``,
+      ``rerouted``, ``retried`` and the delay sum ``delay_s``,
+      accumulated in delivery order;
+    - ``span``: the global (first, last) delivery instant.
 
     With a resilience policy on, a storm reroute is modelled as a
     client *failover retry*: the request first travels to the dark
     region (the failed leg), times out, and is re-sent to the healthy
     one — both legs are charged through the NETWORK delay, and the
-    tuple's ``retried`` flag marks the double charge.  Without
-    resilience the reroute is the pre-PR silent redirect (single leg).
+    ledger's ``retried`` counts the double charge.  Without resilience
+    the reroute is a silent redirect (single leg).
     """
     regions = len(spec["regions"])
     icx = Interconnect(regions=regions, topology=spec["topology"],
                        bandwidth_gbps=spec["bandwidth_gbps"],
                        base_latency_us=spec["base_latency_us"])
-    geo = make_geo(spec["geo"])
     view = _RouterView(spec, icx)
+    hops, delays = view.hop_table, view.delay_table
     geo.reset(view)
-    payload_bytes = spec["payload_bytes"]
     res_on = bool(spec["resilience"])
-    queue = EventQueue()
-    for item in heapq.merge(*streams, key=_merge_admission_key):
-        t, home = item[0], item[1]
-        while len(queue) and queue.next_time() <= t:
-            yield queue.pop().payload
+    codes = (_uint_code(sum(spec["counts"])),
+             _uint_code(len(spec["models"])), "d", _uint_code(regions))
+    columns = [tuple(array(code) for code in codes)
+               for _ in range(regions)]
+    ledgers = [{"offered": 0, "remote": 0, "rerouted": 0, "retried": 0,
+                "delay_s": 0.0} for _ in range(regions)]
+    # the NETWORK delivery queue: raw (deliver, admission seq, ...)
+    # heap entries, so same-instant deliveries pop in admission order
+    queue: list = []
+    seq = itertools.count()
+
+    def deliver_until(t: float) -> None:
+        while queue and queue[0][0] <= t:
+            deliver, _, serve, home, delay, rid, model = \
+                heapq.heappop(queue)
+            ids, models, delivers, homes = columns[serve]
+            ids.append(rid)
+            models.append(model)
+            delivers.append(deliver)
+            homes.append(home)
+            ledgers[serve]["delay_s"] += delay
+
+    # admissions merge by (instant, home); ids ascend within a home
+    for t, home, rid, model in heapq.merge(*_admission_streams(spec)):
+        deliver_until(t)
         serve = geo.route(t, home, view)
         if not 0 <= serve < regions:
             raise ConfigError(
                 f"geo policy '{geo.name}' routed to region {serve} "
                 f"outside [0, {regions})"
             )
-        rerouted = False
-        retried = False
+        ledgers[home]["offered"] += 1
         failed_leg = 0.0
         if outages and _down(outages, serve, t):
             live = [i for i in range(regions)
                     if not _down(outages, i, t)]
             if live:
+                healthy = min(live, key=lambda i: (hops[home, i], i))
                 if res_on:
                     # the failed attempt's transfer is real: charge
                     # the leg to the dark region before the retry leg
-                    failed_leg = icx.delay(home, serve, payload_bytes)
-                    retried = True
-                serve = min(live,
-                            key=lambda i: (icx.hops(home, i), i))
-                rerouted = True
+                    failed_leg = delays[home, serve]
+                    ledgers[healthy]["retried"] += 1
+                serve = healthy
+                ledgers[serve]["rerouted"] += 1
+        if serve != home:
+            ledgers[serve]["remote"] += 1
         view.record(serve, t)
-        delay = failed_leg + icx.delay(home, serve, payload_bytes)
-        queue.push(t + delay, EventKind.NETWORK,
-                   payload=(t + delay, serve, home, rerouted, retried,
-                            delay, item))
-    while len(queue):
-        yield queue.pop().payload
+        delay = failed_leg + delays[home, serve]
+        heapq.heappush(queue, (t + delay, next(seq), serve, home, delay,
+                               rid, model))
+    deliver_until(math.inf)
+    delivered = [column[2] for column in columns if column[2]]
+    span = (min(d[0] for d in delivered), max(d[-1] for d in delivered))
+    return columns, ledgers, span
 
 
 def _arrival_span(spec: dict) -> tuple[float, float]:
     """Global (first, last) admission instant over every region."""
-    first, last = math.inf, -math.inf
-    for stream in _times_streams(spec):
-        t0 = tN = next(stream)[0]
-        for tN, _ in stream:
-            pass
-        first = min(first, t0)
-        last = max(last, tN)
-    return first, last
-
-
-def _delivery_span(spec: dict, outages) -> tuple[float, float]:
-    """Global (first, last) delivery instant after routing."""
-    first, last = math.inf, -math.inf
-    for deliver, *_ in _route_scan(spec, _times_streams(spec), outages):
-        if deliver < first:
-            first = deliver
-        if deliver > last:
-            last = deliver
-    return first, last
+    spans = [trace_span(_region_scenario(spec["scenario"], region[4]),
+                        rate, n, seed)
+             for region, rate, n, seed in zip(
+                 spec["regions"], spec["rates"], spec["counts"],
+                 spec["seeds"])]
+    return (min(first for first, _ in spans),
+            max(last for _, last in spans))
 
 
 @dataclass(frozen=True)
 class RegionOutcome:
-    """One region's worker summary: engine outcome + network ledger.
+    """One region's summary: engine outcome + network ledger.
 
     ``outcome`` is the exact per-shard summary the sharded merge
-    understands (region == shard); the extra fields are the geo
-    tier's network accounting for the region.
+    understands (region == shard), from the region's worker; the
+    extra fields are the geo tier's network accounting for the
+    region, from the parent's routing scan.
     """
 
     region: str
@@ -449,75 +494,33 @@ class RegionOutcome:
         return self.outcome.slo_hits / served if served else 1.0
 
 
-def _serve_geo_region(spec: dict) -> RegionOutcome:
+def _serve_geo_region(spec: dict) -> ShardOutcome:
     """Serve one region of a geo run (runs in a worker process).
 
-    Every worker replays the identical global routing scan (regional
-    streams -> geo policy -> interconnect delay -> delivery order) and
-    feeds its own region's deliveries to an independent cluster
-    engine, pinned to the *global* delivery span so all regions drain
-    at the same horizon.
+    The parent has already routed the fleet: the spec carries only
+    this region's delivery columns, from which the worker rebuilds the
+    exact regional :class:`~repro.serving.workload.Request`\\ s (home
+    region tag, delivery instant as arrival) and feeds them to an
+    independent cluster engine, pinned to the *global* delivery span
+    so all regions drain at the same horizon.
     """
     t_start = perf_counter()
     me = spec["region"]
-    name, accelerator, replicas, price, _tz = spec["regions"][me]
+    name, accelerator, replicas, _price, _tz = spec["regions"][me]
     scenario = spec["scenario"]
     sim = _worker_simulator(spec, accelerator, replicas)
-    # a warm parent resolves the outage windows and the global
-    # delivery span once and ships them in the spec — both are pure
-    # functions of the plan, so recomputing here (the cold path) gives
-    # the identical values, just at one O(n) routing scan per worker
-    if "outages" in spec:
-        outages = spec["outages"]
-    else:
-        outages = ()
-        if spec["storms"]:
-            first, last = _arrival_span(spec)
-            outages = RegionFailurePlan(
-                count=spec["storms"], seed=spec["seed"],
-            ).resolve(first, last, len(spec["regions"]))
-    span = spec.get("span")
-    if span is None:
-        span = _delivery_span(spec, outages)
-
-    net = {"offered": 0, "remote": 0, "rerouted": 0, "retried": 0,
-           "delay": 0.0}
-
-    def deliveries() -> Iterator[Request]:
-        scan = _route_scan(spec, _request_streams(spec), outages)
-        for deliver, serve, home, rerouted, retried, delay, item in scan:
-            if home == me:
-                net["offered"] += 1
-            if serve != me:
-                continue
-            request = item[2]
-            if delay:
-                request = replace(request, arrival=deliver)
-                net["delay"] += delay
-            if home != me:
-                net["remote"] += 1
-            if rerouted:
-                net["rerouted"] += 1
-            if retried:
-                net["retried"] += 1
-            yield request
-
-    outcome = _fold_worker(
-        spec, sim, scenario, deliveries(), shard=me,
-        rate=spec["rates"][me], span=span, t_start=t_start,
+    ids, models, delivers, homes = spec["deliveries"]
+    home_names = tuple(region[0] for region in spec["regions"])
+    stream = map(Request, ids, map(spec["models"].__getitem__, models),
+                 delivers, map(home_names.__getitem__, homes))
+    return _fold_worker(
+        spec, sim, scenario, stream, shard=me,
+        rate=spec["rates"][me], span=spec["span"], t_start=t_start,
         tag={"region": name},
         failures=(FailurePlan(count=scenario.faults,
                               seed=spec["seeds"][me])
                   if scenario.faults else None),
         regions=len(spec["regions"]), geo=spec["geo"],
-    )
-    return RegionOutcome(
-        region=name, index=me, accelerator=accelerator,
-        replicas=replicas, price=price,
-        capacity_rps=spec["capacities"][me],
-        rate_rps=spec["rates"][me], offered=net["offered"],
-        remote=net["remote"], rerouted=net["rerouted"],
-        delay_s=net["delay"], outcome=outcome, retried=net["retried"],
     )
 
 
@@ -633,7 +636,8 @@ class GeoRouter:
             Interconnect`).
         geo: region-routing policy — a :data:`~repro.serving.policies.
             GEO_POLICIES` name or a :class:`~repro.serving.policies.
-            GeoDispatchPolicy` instance.
+            GeoDispatchPolicy` instance, which routes as given (rows
+            carry its ``name``).
         storms: region-granularity outage windows to sample
             (:class:`~repro.serving.policies.RegionFailurePlan`);
             arrivals for a dark region reroute to the nearest healthy
@@ -656,11 +660,11 @@ class GeoRouter:
         prewarm: warm-start the fleet (the default).  The parent
             resolves every region backend's layer cells once through
             a shared memo, snapshots the totals, and broadcasts the
-            snapshot to region workers through the pool initializer;
-            the outage windows and the global delivery span are
-            resolved once in the parent and shipped in the spec, so
-            no worker repeats the O(n) routing scans.  All of it is
-            exact — warm results are bit-identical to cold.
+            snapshot to region workers through the pool initializer,
+            with the warm cells each engine pre-resolves.  It is
+            exact — warm results are bit-identical to cold.  Routing
+            does not depend on it: warm or cold, the parent runs the
+            one routing scan and ships each region its deliveries.
         snapshot: a pre-built :class:`~repro.serving.memo.
             MemoSnapshot` installed into the parent's warm cache up
             front (e.g. the persisted memo pool).
@@ -704,7 +708,8 @@ class GeoRouter:
         self.bandwidth_gbps = bandwidth_gbps
         self.base_latency_us = base_latency_us
         self.payload_bytes = payload_bytes
-        self.geo = make_geo(geo).name
+        self._geo_policy = make_geo(geo)
+        self.geo = self._geo_policy.name
         self.storms = storms
         self.policy = policy
         self.batch_size = batch_size
@@ -724,7 +729,7 @@ class GeoRouter:
 
     def run_scenario(self, scenario: Scenario | str, n_requests: int,
                      seed: int = 0) -> GeoResult:
-        """Calibrate regions, fan the routing scan out, and merge."""
+        """Calibrate regions, route once, fan the regions out, merge."""
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         if n_requests < 1:
@@ -783,7 +788,7 @@ class GeoRouter:
             "bandwidth_gbps": self.bandwidth_gbps,
             "base_latency_us": self.base_latency_us,
             "payload_bytes": self.payload_bytes,
-            "geo": self.geo, "storms": self.storms,
+            "geo": self.geo, "models": scenario.mix.models(),
             "rates": rates, "counts": counts, "seeds": seeds,
             "bases": bases, "capacities": capacities,
             "energies": energies, "batch_lats": batch_lats,
@@ -792,45 +797,51 @@ class GeoRouter:
             "window_s": 100.0 / max(total_rate, 1e-12),
             "policy": self.policy, "batch_size": self.batch_size,
             "dispatch": self.dispatch, "slo_us": self.slo_us,
-            "seed": seed, "detail": self.detail, "trace": self.trace,
+            "detail": self.detail, "trace": self.trace,
             "tick": self.tick, "trace_events": self.trace_events,
             "resilience": self.resilience,
         }
+        outages: tuple = ()
+        if self.storms:
+            first, last = _arrival_span(spec)
+            outages = RegionFailurePlan(
+                count=self.storms, seed=seed,
+            ).resolve(first, last, count)
+        columns, ledgers, spec["span"] = _route_scan(
+            spec, self._geo_policy, outages)
         snapshot: Optional[MemoSnapshot] = None
         if self.prewarm:
             # warm every region backend's layer cells through the
-            # shared memo, then resolve the plan-level scans — outage
-            # windows and the global delivery span — once instead of
-            # once per worker; all pure functions of the plan, so
-            # workers get the identical values they would recompute
+            # shared memo and broadcast the snapshot to the workers
             for cal in calibrators:
                 cal.prewarm(scenario)
             snapshot = MemoSnapshot.from_cache(self._warm_cache)
-            outages: tuple = ()
-            if self.storms:
-                first, last = _arrival_span(spec)
-                outages = RegionFailurePlan(
-                    count=self.storms, seed=seed,
-                ).resolve(first, last, count)
-            spec["outages"] = outages
-            spec["span"] = _delivery_span(spec, outages)
             spec["warm_cells"] = tuple(
                 (model, b)
                 for model in sorted(scenario.mix.models())
                 for b in range(1, calibrators[0].policy.max_batch + 1)
             )
-        specs = [dict(spec, region=i) for i in range(count)]
+        specs = [dict(spec, region=i, deliveries=columns[i])
+                 for i in range(count)]
         t_start = perf_counter()
-        regions = tuple(parallel_map(_serve_geo_region,
-                                     [(s,) for s in specs],
-                                     mode=self.mode,
-                                     max_workers=self.max_workers,
-                                     payload=({"memo": snapshot}
-                                              if snapshot is not None
-                                              else None)))
+        outcomes = tuple(parallel_map(_serve_geo_region,
+                                      [(s,) for s in specs],
+                                      mode=self.mode,
+                                      max_workers=self.max_workers,
+                                      payload=({"memo": snapshot}
+                                               if snapshot is not None
+                                               else None)))
         wall = perf_counter() - t_start
+        regions = tuple(
+            RegionOutcome(
+                region=region.name, index=i,
+                accelerator=region.accelerator,
+                replicas=region.replicas, price=region.price,
+                capacity_rps=capacities[i], rate_rps=rates[i],
+                outcome=outcome, **ledgers[i])
+            for i, (region, outcome) in enumerate(zip(fleet, outcomes)))
         return GeoResult.merge(
-            tuple(region.outcome for region in regions),
+            outcomes,
             detail=self.detail,
             accelerator=(fleet[0].accelerator if count == 1
                          else f"geo[{count}]"),

@@ -940,9 +940,13 @@ class GeoDispatchPolicy:
       (req/s over the router's sliding window);
     - ``router.slo`` — latency target (s), or ``None``.
 
-    Policies are pure functions of that view, so every worker process
-    replays the identical routing scan and geo runs merge exactly.
-    ``reset`` runs once per routing scan.
+    A policy runs once per run, in the parent process: the router
+    calls ``reset`` and then ``route`` for every admission of its one
+    routing scan, with the instance it was given, and ships each
+    region only the deliveries that scan produced.  Policies must stay
+    pure functions of the view (plus state they rebuild in ``reset``)
+    — routing that read live engine state or wall time would break the
+    exactness warm == cold and run == rerun that geo runs keep.
     """
 
     name = "?"

@@ -12,15 +12,21 @@ stays home until saturated, storms reroute dark regions).
 """
 
 import hashlib
+import io
 import json
+import pickle
+from array import array
 
 import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigError
+from repro.serving import geo as geo_module
 from repro.serving import (
     GEO_POLICIES,
+    GeoDispatchPolicy,
     GeoRouter,
+    HomeRegionDispatch,
     Interconnect,
     POLICIES,
     REQUEST_BYTES,
@@ -29,6 +35,7 @@ from repro.serving import (
     RegionSpec,
     SCENARIOS,
     STOCK_REGIONS,
+    Request,
     ServingSimulator,
     ShardedEngine,
     default_regions,
@@ -170,6 +177,59 @@ class TestGeoPolicies:
             make_geo("teleport")
         assert set(GEO_POLICIES) == {"home", "follow_sun",
                                      "cheapest_joule", "spillover"}
+
+    def test_unregistered_policy_instance_routes(self):
+        class Last(GeoDispatchPolicy):
+            name = "last"
+
+            def route(self, time, home, router):
+                return router.regions - 1
+
+        result = GeoRouter(3, geo=Last(), mode="inline") \
+            .run_scenario("steady", 300, seed=SEED)
+        assert [r.outcome.requests for r in result.regions] == [0, 0, 300]
+        assert result.geo == result.to_row()["geo"] == "last"
+
+    def test_name_colliding_instance_routes_by_its_own_route(self):
+        class NextDoor(HomeRegionDispatch):
+            name = "home"  # shadows the stock policy's name
+
+            def route(self, time, home, router):
+                return (home + 1) % router.regions
+
+        result = GeoRouter(3, geo=NextDoor(), mode="inline") \
+            .run_scenario("steady", 300, seed=SEED)
+        assert result.geo == "home"
+        assert result.remote_frac == 1.0
+        # region h's admissions are all served by region h + 1
+        assert [r.offered for r in result.regions] == \
+            [r.outcome.requests for r in
+             result.regions[1:] + result.regions[:1]]
+
+    @pytest.mark.parametrize("topology", ["ring", "mesh", "tree"])
+    def test_router_view_tables_match_the_interconnect(self, topology):
+        seen = []
+
+        class Probe(HomeRegionDispatch):
+            def reset(self, router):
+                icx = Interconnect(4, topology=topology)
+                for src in range(4):
+                    for dst in range(4):
+                        assert router.hops(src, dst) == \
+                            icx.hops(src, dst)
+                        assert router.delay(src, dst) == \
+                            icx.delay(src, dst)
+                # out of range raises the interconnect's ConfigError:
+                # never an IndexError, never a negative-index wrap
+                for src, dst in ((0, 4), (4, 0), (-1, 0), (0, -1)):
+                    for probe in (router.hops, router.delay):
+                        with pytest.raises(ConfigError, match="outside"):
+                            probe(src, dst)
+                seen.append(topology)
+
+        GeoRouter(4, topology=topology, geo=Probe(), mode="inline") \
+            .run_scenario("steady", 40, seed=SEED)
+        assert seen == [topology]
 
 
 class TestRegionStorms:
@@ -502,3 +562,59 @@ class TestGoldenMatrix:
             result.detail.latencies,
             result.detail.energy_per_request)).encode()).hexdigest()
         assert (regions, digest) == GOLDEN_MATRIX[geo, storms, resilience]
+
+
+class _RequestSpy(pickle.Pickler):
+    """Pickles a spec the way the pool ships it, noting any Request."""
+
+    found = False
+
+    def persistent_id(self, obj):
+        if isinstance(obj, Request):
+            self.found = True
+        return None
+
+
+class TestRouteOnce:
+    """The parent runs the one routing scan; workers only serve."""
+
+    @pytest.mark.parametrize("storms", [0, 2])
+    @pytest.mark.parametrize("prewarm", [True, False])
+    def test_scan_runs_once_and_ships_columns(self, monkeypatch, storms,
+                                              prewarm):
+        router = GeoRouter(3, topology="ring", storms=storms,
+                           prewarm=prewarm,
+                           mode="inline")
+        scans, specs = [], []
+        real_scan = geo_module._route_scan
+        real_serve = geo_module._serve_geo_region
+
+        def counted_scan(*args, **kwargs):
+            scans.append(args)
+            return real_scan(*args, **kwargs)
+
+        def captured_serve(spec):
+            specs.append(spec)
+            return real_serve(spec)
+
+        def no_make_geo(*args, **kwargs):
+            raise AssertionError("geo policy re-resolved during a run")
+
+        monkeypatch.setattr(geo_module, "_route_scan", counted_scan)
+        monkeypatch.setattr(geo_module, "_serve_geo_region",
+                            captured_serve)
+        monkeypatch.setattr(geo_module, "make_geo", no_make_geo)
+        result = router.run_scenario("diurnal", 600, seed=SEED)
+        assert len(scans) == 1
+        assert [spec["region"] for spec in specs] == [0, 1, 2]
+        assert sum(len(spec["deliveries"][0]) for spec in specs) == 600
+        for spec, region in zip(specs, result.regions):
+            columns = spec["deliveries"]
+            assert all(isinstance(column, array) for column in columns)
+            assert {len(column) for column in columns} == \
+                {region.outcome.requests}
+            spy = _RequestSpy(io.BytesIO())
+            spy.dump(spec)
+            assert not spy.found
+        if storms:
+            assert sum(r.rerouted for r in result.regions) > 0

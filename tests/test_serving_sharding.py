@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 
 import pytest
 
@@ -199,6 +200,17 @@ class TestStreamingEngine:
             return
         with pytest.raises(ConfigError, match=match):
             engine.run(INPUT_FORMS[form](trace), span=span)
+
+    def test_served_requests_are_released(self):
+        """A served batch's requests are dropped once it is done, so a
+        streamed run does not keep every Request alive to its end."""
+        trace = generate_trace(get_scenario("steady"), RATE, 300,
+                               seed=SEED)
+        engine = _stream_engine()
+        before = [sys.getrefcount(request) for request in trace]
+        outcome = engine.run(iter(trace))
+        assert len(outcome.done) == len(trace)
+        assert [sys.getrefcount(request) for request in trace] == before
 
     def test_streamed_run_rejects_out_of_order_arrivals(self):
         scenario = get_scenario("steady")
